@@ -1,15 +1,20 @@
 #include "net/ipv4.hpp"
 
 #include <charconv>
-#include <cstdio>
 
 namespace cloudrtt::net {
 
+char* Ipv4Address::to_chars(char* out) const {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out = std::to_chars(out, out + 3, (value_ >> shift) & 0xffu).ptr;
+    if (shift != 0) *out++ = '.';
+  }
+  return out;
+}
+
 std::string Ipv4Address::to_string() const {
-  char buffer[16];
-  std::snprintf(buffer, sizeof(buffer), "%u.%u.%u.%u", (value_ >> 24) & 0xffu,
-                (value_ >> 16) & 0xffu, (value_ >> 8) & 0xffu, value_ & 0xffu);
-  return buffer;
+  char buffer[kMaxChars];
+  return std::string(buffer, to_chars(buffer));
 }
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {

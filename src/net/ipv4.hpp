@@ -7,6 +7,7 @@
 // addresses are honest 32-bit values, not handles.
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,6 +25,13 @@ class Ipv4Address {
 
   [[nodiscard]] constexpr std::uint32_t value() const { return value_; }
   [[nodiscard]] std::string to_string() const;
+
+  /// Longest dotted-quad rendering ("255.255.255.255").
+  static constexpr std::size_t kMaxChars = 15;
+  /// Write the dotted quad at `out`, octet by octet, and return one past the
+  /// last byte written (at most kMaxChars). The one formatter behind
+  /// to_string() and the CSV row encoder; writes no terminator.
+  [[nodiscard]] char* to_chars(char* out) const;
 
   /// Parse dotted-quad; nullopt on malformed input.
   [[nodiscard]] static std::optional<Ipv4Address> parse(std::string_view text);

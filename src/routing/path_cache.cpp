@@ -108,14 +108,11 @@ PathView PathCache::lookup(const probes::Probe& probe,
     it = shard.map
              .emplace(key, Entry{stored, static_cast<std::uint32_t>(count)})
              .first;
-    const std::size_t entries =
-        entry_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    const std::size_t bytes =
-        arena_bytes_.fetch_add(count * sizeof(RouterHop),
-                               std::memory_order_relaxed) +
-        count * sizeof(RouterHop);
-    entries_gauge_.set(static_cast<double>(entries));
-    arena_gauge_.set(static_cast<double>(bytes));
+    // Every campaign's cache feeds these process-wide gauges, so each
+    // insert adds its own delta.
+    entry_count_.fetch_add(1, std::memory_order_relaxed);
+    entries_gauge_.add(1.0);
+    arena_gauge_.add(static_cast<double>(count * sizeof(RouterHop)));
   }
   return PathView{{it->second.hops, it->second.count}, mode};
 }

@@ -96,9 +96,9 @@ class PathCache {
   const PathBuilder& builder_;
   bool enabled_;
   std::array<Shard, kShardCount> shards_;
-  // Monotonic statistics mirrored into gauges; atomics need no guard.
+  // This cache's own entry count (the gauges sum every cache in the
+  // process); atomics need no guard.
   mutable std::atomic<std::size_t> entry_count_{0};
-  mutable std::atomic<std::size_t> arena_bytes_{0};
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& bypasses_;

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <fstream>
 #include <system_error>
 
 #include "obs/metrics.hpp"
@@ -149,6 +150,12 @@ std::optional<std::string> IoEnv::read_file(const fs::path& path) const {
   }
   ::close(fd);
   return content;
+}
+
+std::unique_ptr<std::istream> IoEnv::open_read(const fs::path& path) const {
+  auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
+  if (!in->is_open()) return nullptr;
+  return in;
 }
 
 IoStatus FaultyIoEnv::append(const fs::path& path, std::string_view data) {

@@ -18,6 +18,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,6 +67,12 @@ class IoEnv {
 
   /// Whole-file read; nullopt when missing/unreadable. Never faulted.
   [[nodiscard]] virtual std::optional<std::string> read_file(
+      const std::filesystem::path& path) const;
+
+  /// Sequential binary reader over `path`, for scans that keep one block
+  /// resident at a time (the streamed dataset hash); nullptr when missing or
+  /// unreadable. Never faulted.
+  [[nodiscard]] virtual std::unique_ptr<std::istream> open_read(
       const std::filesystem::path& path) const;
 };
 

@@ -10,8 +10,14 @@ namespace cloudrtt::util {
 
 std::string format_double(double value, int decimals) {
   char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
+  const int size =
+      std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+  if (size < static_cast<int>(sizeof(buffer))) return buffer;
+  // |value| >= ~1e59 prints more digits than the stack buffer holds.
+  std::string wide(static_cast<std::size_t>(size) + 1, '\0');
+  std::snprintf(wide.data(), wide.size(), "%.*f", decimals, value);
+  wide.pop_back();
+  return wide;
 }
 
 void TextTable::set_header(std::vector<std::string> cells) { header_ = std::move(cells); }

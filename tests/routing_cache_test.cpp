@@ -135,6 +135,44 @@ TEST(PathCacheGate, DisabledCacheStillBuildsCorrectPathsIntoScratch) {
                    view);
 }
 
+// A study runs one PathCache per campaign, and both feed the same registry
+// gauges: they must show the process total, not whichever cache wrote last.
+TEST(PathCacheGate, GaugesSumEveryCacheInTheProcess) {
+  topology::World world{topology::WorldConfig{23}};
+  const routing::PathBuilder builder{world};
+  obs::Gauge& entries =
+      obs::Registry::global().gauge("routing.path_cache.entries");
+  obs::Gauge& arena_bytes =
+      obs::Registry::global().gauge("routing.path_cache.arena_bytes");
+  const double entries_before = entries.value();
+  const double bytes_before = arena_bytes.value();
+
+  const routing::PathCache first{world, builder};
+  const routing::PathCache second{world, builder};
+  ASSERT_TRUE(first.enabled());
+  routing::ForwardingPath scratch;
+  std::size_t hops = 0;
+  const probes::Probe de = make_probe(world, "DE", 1);
+  for (const topology::CloudEndpoint& endpoint : world.endpoints()) {
+    hops += first.lookup(de, endpoint, InterconnectMode::Public, scratch)
+                .hops.size();
+  }
+  const probes::Probe jp = make_probe(world, "JP", 2);
+  for (std::size_t i = 0; i < 3; ++i) {
+    hops += second
+                .lookup(jp, world.endpoints()[i], InterconnectMode::Direct,
+                        scratch)
+                .hops.size();
+  }
+  ASSERT_EQ(second.size(), 3u);
+  ASSERT_GT(first.size(), second.size());
+
+  EXPECT_EQ(entries.value() - entries_before,
+            static_cast<double>(first.size() + second.size()));
+  EXPECT_EQ(arena_bytes.value() - bytes_before,
+            static_cast<double>(hops * sizeof(routing::RouterHop)));
+}
+
 /// Small Speedchecker-only campaign; two days so the second day replays
 /// entirely out of the warm cache.
 [[nodiscard]] core::StudyConfig cache_config(std::uint64_t seed,

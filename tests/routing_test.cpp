@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <tuple>
+
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
 #include "topology/world.hpp"
@@ -282,8 +286,10 @@ TEST_F(PathBuilderTest, DeterministicForSameInputs) {
 
 // Property sweep: from several source countries to several destinations, the
 // base RTT never undercuts the speed of light over the great circle.
+// The countries are std::string, not const char*: the test name prints the
+// parameter, and a pointer would print its address, which changes per run.
 class PhysicsSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(PhysicsSweep, NoFasterThanLight) {
   topology::World world{topology::WorldConfig{13}};

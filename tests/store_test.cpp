@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -456,6 +458,113 @@ TEST(StoreSpill, SpillDirHoldsTheStoreAndResumes) {
   resumed.run(again);
   ASSERT_TRUE(resumed.completed());
   EXPECT_EQ(core::dataset_hash(resumed.sc_dataset()), baseline().hash);
+}
+
+// -- streamed dataset hash ----------------------------------------------------
+
+/// Threads of this process right now (Linux: one /proc/self/task entry each).
+[[nodiscard]] std::size_t live_threads() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const fs::directory_entry& entry :
+       fs::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// Serves lane files intact on the first sequential open of each path (the
+/// ping pass) and with one payload byte of block `block` flipped on every
+/// later open (the trace pass). Whole-file reads — the structural open's
+/// checksum walk — always see the intact file, so the damage can only
+/// surface in the trace pass.
+class TracePassCorruptingIo final : public store::IoEnv {
+ public:
+  explicit TracePassCorruptingIo(std::size_t block) : block_(block) {}
+
+  [[nodiscard]] std::unique_ptr<std::istream> open_read(
+      const fs::path& path) const override {
+    std::string text = cloudrtt::read_file(path);
+    if (opens_[path.string()]++ > 0) {
+      const std::vector<BlockSpan> blocks = index_blocks(path);
+      const BlockSpan& target = blocks.at(block_);
+      const std::size_t payload = target.offset + target.size -
+                                  target.header.bytes;
+      text[payload + 5] = static_cast<char>(text[payload + 5] ^ 0x10);
+    }
+    return std::make_unique<std::istringstream>(std::move(text));
+  }
+
+ private:
+  std::size_t block_;
+  mutable std::map<std::string, int> opens_;
+};
+
+TEST(StreamedHash, MatchesTheInMemoryHashAtAnyWorkerCount) {
+  store::IoEnv io;
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    const core::StreamedHashResult result = core::detail::streamed_dataset_hash(
+        baseline().dir, kPlatform, io, fleet(), nullptr, workers);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(core::format_dataset_hash(result.hash),
+              core::format_dataset_hash(baseline().hash))
+        << workers << " workers";
+  }
+}
+
+// A block that fails its checksum in the trace pass, far beyond the encode
+// window: the error must come back as an error (no partial hash), after
+// every in-flight work item was joined, with no thread left running.
+TEST(StreamedHash, TracePassChecksumFailureJoinsEveryWorker) {
+  const std::vector<BlockSpan> blocks = index_blocks(lane0(baseline().dir));
+  const std::size_t last = blocks.size() - 1;
+  for (const unsigned workers : {2u, 3u}) {
+    ASSERT_GT(last, 2 * workers) << "the damaged block must lie beyond the "
+                                    "window of in-flight blocks";
+    const std::size_t threads_before = live_threads();
+    TracePassCorruptingIo io{last};
+    const core::StreamedHashResult result = core::detail::streamed_dataset_hash(
+        baseline().dir, kPlatform, io, fleet(), nullptr, workers);
+    EXPECT_FALSE(result.ok());
+    EXPECT_NE(result.error.find("trace pass"), std::string::npos)
+        << result.error;
+    EXPECT_NE(result.error.find("checksum mismatch"), std::string::npos)
+        << result.error;
+    EXPECT_EQ(result.hash, 0u);
+    EXPECT_EQ(result.rows, 0u);
+    EXPECT_EQ(live_threads(), threads_before) << workers << " workers";
+  }
+}
+
+// A store written with several lanes (one per campaign thread) merges its
+// lanes back into day order: the streamed hash equals the in-memory one.
+TEST(StreamedHash, MultiLaneStoreHashesLikeTheInMemoryDataset) {
+  const fs::path dir = fs::path{::testing::TempDir()} / "cloudrtt_store_lanes";
+  fs::remove_all(dir);
+  core::StudyConfig config = store_config();
+  config.threads = 3;
+  core::Study study{config};
+  core::RunControl control;
+  control.checkpoint_dir = dir.string();
+  study.run(control);
+  ASSERT_TRUE(study.completed());
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store_structural(dir, kPlatform, io, /*repair=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  ASSERT_EQ(opened.lane_states.size(), 3u);
+  const std::uint64_t in_memory = core::dataset_hash(study.sc_dataset());
+  EXPECT_EQ(in_memory, baseline().hash);
+  for (const unsigned workers : {1u, 2u, 8u}) {
+    const core::StreamedHashResult result = core::detail::streamed_dataset_hash(
+        dir, kPlatform, io, &study.sc_fleet(), nullptr, workers);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(result.rows, study.sc_dataset().pings.size());
+    EXPECT_EQ(core::format_dataset_hash(result.hash),
+              core::format_dataset_hash(in_memory))
+        << workers << " workers";
+  }
+  fs::remove_all(dir);
 }
 
 // Satellite regression: the import error digest must disclose how many

@@ -191,6 +191,11 @@ TEST(Stats, RequiredSampleSizeRejectsBadInput) {
 TEST(Text, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(2.0, 0), "2");
+  // Wider than any fixed stack buffer: every digit survives.
+  const std::string huge = format_double(-1e308, 3);
+  EXPECT_EQ(huge.size(), 1 + 309 + 4u);
+  EXPECT_EQ(huge.substr(0, 5), "-1000");
+  EXPECT_EQ(huge.substr(huge.size() - 4), ".000");
 }
 
 TEST(Text, TableRendersAlignedColumns) {
