@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "analysis/resolve.hpp"
 #include "analysis/trace_analysis.hpp"
 #include "measure/engine.hpp"
@@ -60,21 +62,28 @@ void BM_BackboneRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneRoute);
 
+// One argument per interconnect mode (Direct, 1 IXP, 1 AS, Public): each
+// mode makes different hub/IXP choices, so each has its own cost. Builds go
+// through build_into with a reused path, the PathCache miss path.
 void BM_PathBuild(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   const routing::PathBuilder builder{f.world};
+  const auto mode = static_cast<topology::InterconnectMode>(state.range(0));
+  state.SetLabel(std::string{topology::to_string(mode)});
   util::Rng rng{3};
   const auto& probes = f.fleet.probes();
   const auto& endpoints = f.world.endpoints();
+  routing::ForwardingPath path;
   for (auto _ : state) {
     const probes::Probe& probe = probes[rng.below(probes.size())];
     const topology::CloudEndpoint& endpoint = endpoints[rng.below(endpoints.size())];
-    benchmark::DoNotOptimize(
-        builder.build(probe, endpoint, topology::InterconnectMode::Public));
+    builder.build_into(probe, endpoint, mode, path);
+    benchmark::DoNotOptimize(path.hops.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_PathBuild);
+BENCHMARK(BM_PathBuild)->ArgName("mode")->DenseRange(0, 3);
 
 void BM_Traceroute(benchmark::State& state) {
   Fixture& f = Fixture::instance();

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/check.hpp"
+
 namespace cloudrtt::geo {
 
 namespace {
@@ -181,15 +183,37 @@ constexpr CountryInfo kCountries[] = {
     {"NC", "New Caledonia", C::Oceania, {-21.3, 165.5}, 150, 20, 2, 0.50, 0.50},
 };
 
+/// Cell of a two-letter upper-case code in a 26 x 26 table; nullopt for
+/// anything else.
+[[nodiscard]] std::optional<std::size_t> code_cell(std::string_view code) {
+  const auto upper = [](char c) { return c >= 'A' && c <= 'Z'; };
+  if (code.size() != 2 || !upper(code[0]) || !upper(code[1])) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(code[0] - 'A') * 26 +
+         static_cast<std::size_t>(code[1] - 'A');
+}
+
 }  // namespace
 
 CountryTable::CountryTable() {
   countries_.assign(std::begin(kCountries), std::end(kCountries));
+  CLOUDRTT_CHECK(countries_.size() < kNoSlot, "country catalogue outgrew the ",
+                 "one-byte slot table");
+  slots_.fill(kNoSlot);
+  for (std::size_t i = 0; i < countries_.size(); ++i) {
+    const auto cell = code_cell(countries_[i].code);
+    CLOUDRTT_CHECK(cell.has_value(), "malformed country code '",
+                   countries_[i].code, "'");
+    CLOUDRTT_CHECK(slots_[*cell] == kNoSlot, "duplicate country code '",
+                   countries_[i].code, "'");
+    slots_[*cell] = static_cast<std::uint8_t>(i);
+  }
   for (const CountryInfo& c : countries_) {
     total_sc_weight_ += c.sc_weight;
     total_atlas_weight_ += c.atlas_weight;
-    sc_by_continent_[index_of(c.continent)] += c.sc_weight;
-    atlas_by_continent_[index_of(c.continent)] += c.atlas_weight;
+    sc_by_continent_[geo::index_of(c.continent)] += c.sc_weight;
+    atlas_by_continent_[geo::index_of(c.continent)] += c.atlas_weight;
   }
 }
 
@@ -198,11 +222,16 @@ const CountryTable& CountryTable::instance() {
   return table;
 }
 
+// lint:hot
+std::optional<std::size_t> CountryTable::index_of(std::string_view code) const {
+  const auto cell = code_cell(code);
+  if (!cell || slots_[*cell] == kNoSlot) return std::nullopt;
+  return slots_[*cell];
+}
+
 const CountryInfo* CountryTable::find(std::string_view code) const {
-  for (const CountryInfo& c : countries_) {
-    if (c.code == code) return &c;
-  }
-  return nullptr;
+  const auto index = index_of(code);
+  return index ? &countries_[*index] : nullptr;
 }
 
 const CountryInfo& CountryTable::at(std::string_view code) const {
@@ -222,11 +251,11 @@ std::vector<const CountryInfo*> CountryTable::in_continent(Continent continent) 
 }
 
 double CountryTable::continent_sc_weight(Continent c) const {
-  return sc_by_continent_[index_of(c)];
+  return sc_by_continent_[geo::index_of(c)];
 }
 
 double CountryTable::continent_atlas_weight(Continent c) const {
-  return atlas_by_continent_[index_of(c)];
+  return atlas_by_continent_[geo::index_of(c)];
 }
 
 }  // namespace cloudrtt::geo

@@ -11,6 +11,9 @@
 //  * backhaul_quality in [0,1]: how well-provisioned the public backbone is
 //    (drives transit detour and jitter; EU/NA high, developing regions low).
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -34,11 +37,17 @@ struct CountryInfo {
 };
 
 /// Immutable catalogue; a process-wide singleton built from static data.
+/// Code lookups are O(1): a dense table maps every upper-case two-letter
+/// code to its position in all().
 class CountryTable {
  public:
   [[nodiscard]] static const CountryTable& instance();
 
   [[nodiscard]] std::span<const CountryInfo> all() const { return countries_; }
+  /// Position of `code` in all(); nullopt for unknown or malformed codes
+  /// (anything but two upper-case ASCII letters).
+  [[nodiscard]] std::optional<std::size_t> index_of(
+      std::string_view code) const;
   [[nodiscard]] const CountryInfo* find(std::string_view code) const;
   /// Throwing lookup for code paths where a miss is a programming error.
   [[nodiscard]] const CountryInfo& at(std::string_view code) const;
@@ -52,7 +61,12 @@ class CountryTable {
  private:
   CountryTable();
 
+  static constexpr std::uint8_t kNoSlot = 0xFF;
+
   std::vector<CountryInfo> countries_;
+  /// [first letter * 26 + second letter] -> position in countries_, or
+  /// kNoSlot.
+  std::array<std::uint8_t, 26 * 26> slots_{};
   double total_sc_weight_ = 0.0;
   double total_atlas_weight_ = 0.0;
   std::array<double, kContinentCount> sc_by_continent_{};

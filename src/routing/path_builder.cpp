@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -18,86 +17,6 @@ constexpr double kCarrierDetour = 1.10;   // tier-1 inter-hub backbone
 constexpr double kWanMidHopKm = 3000.0;   // long WAN runs expose a mid router
 
 const net::Ipv4Address kHomeRouterIp{192, 168, 1, 1};
-
-struct HubRef {
-  const topology::TransitCarrier* carrier = nullptr;
-  const topology::TransitHub* hub = nullptr;
-};
-
-/// Nearest hub of any carrier (optionally excluding one) to a location.
-[[nodiscard]] HubRef nearest_hub(const geo::GeoPoint& from,
-                                 const topology::TransitCarrier* exclude = nullptr) {
-  HubRef best;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    if (&carrier == exclude) continue;
-    for (const topology::TransitHub& hub : carrier.hubs) {
-      const double km = geo::haversine_km(from, hub.location);
-      if (km < best_km) {
-        best_km = km;
-        best = HubRef{&carrier, &hub};
-      }
-    }
-  }
-  return best;
-}
-
-/// Nearest hub of one specific carrier to a location.
-[[nodiscard]] const topology::TransitHub* nearest_hub_of(
-    const topology::TransitCarrier& carrier, const geo::GeoPoint& from) {
-  const topology::TransitHub* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const topology::TransitHub& hub : carrier.hubs) {
-    const double km = geo::haversine_km(from, hub.location);
-    if (km < best_km) {
-      best_km = km;
-      best = &hub;
-    }
-  }
-  return best;
-}
-
-/// Best <carrier, entry hub, exit hub> for a single-carrier (PNI) haul.
-struct CarrierPlan {
-  const topology::TransitCarrier* carrier = nullptr;
-  const topology::TransitHub* entry = nullptr;
-  const topology::TransitHub* exit = nullptr;
-};
-
-[[nodiscard]] CarrierPlan best_single_carrier(const geo::GeoPoint& from,
-                                              const geo::GeoPoint& to) {
-  CarrierPlan best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
-    for (const topology::TransitHub& entry : carrier.hubs) {
-      for (const topology::TransitHub& exit : carrier.hubs) {
-        const double cost = geo::haversine_km(from, entry.location) +
-                            geo::haversine_km(entry.location, exit.location) +
-                            geo::haversine_km(exit.location, to);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = CarrierPlan{&carrier, &entry, &exit};
-        }
-      }
-    }
-  }
-  return best;
-}
-
-[[nodiscard]] const topology::IxpInfo* choose_ixp(std::string_view country,
-                                                  const geo::GeoPoint& near) {
-  const topology::IxpInfo* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const topology::IxpInfo& ixp : topology::known_ixps()) {
-    if (ixp.country == country) return &ixp;
-    const double km = geo::haversine_km(near, ixp.location);
-    if (km < best_km) {
-      best_km = km;
-      best = &ixp;
-    }
-  }
-  return best;
-}
 
 /// Mutable builder state threading location, RTT and jitter budget.
 class Builder {
@@ -245,6 +164,8 @@ void PathBuilder::build_into(const probes::Probe& probe,
   const cloud::ProviderInfo& provider = cloud::provider_info(region.provider);
   const topology::Asn cloud_asn = provider.asn;
   const bool wan = wan_serves(region.provider, region);
+  const topology::HubGeometry& geometry = world_.hub_geometry();
+  topology::HubGeometry::RegionScratch region_scratch;
 
   b.set_origin(probe.location, isp.country);
 
@@ -298,9 +219,12 @@ void PathBuilder::build_into(const probes::Probe& probe,
     }
   };
 
+  // Hub choices read the frozen geometry: from here on the path sits on a
+  // country centroid (`origin`: the ISP core, then each uplink gateway).
+  const geo::CountryInfo* origin = &home;
   switch (mode) {
     case InterconnectMode::DirectIxp: {
-      if (const topology::IxpInfo* ixp = choose_ixp(isp.country, b.location())) {
+      if (const topology::IxpInfo* ixp = geometry.choose_ixp(home)) {
         b.advance_public(ixp->location, ixp->country, 0.04, 0.08);
         b.push_router(ixp->asn, b.site("lan/", ixp->country), ixp->location,
                       false, 0.25);
@@ -324,10 +248,12 @@ void PathBuilder::build_into(const probes::Probe& probe,
         const geo::CountryInfo& info = world_.countries().at(gw);
         b.advance_public(info.centroid, gw, 0.06, 0.18);
         b.push_router(isp.asn, b.site("gw/", gw), info.centroid, false, 0.3);
+        origin = &info;
       }
-      const geo::GeoPoint target_ref =
-          wan ? region.location : region.location;  // PNI lands near the DC side
-      const CarrierPlan plan = best_single_carrier(b.location(), target_ref);
+      // The PNI lands near the DC side.
+      const topology::CarrierPlan plan = geometry.best_single_carrier(
+          geometry.country_row(*origin),
+          geometry.region_rows(region, region_scratch).from_hub);
       b.advance_public(plan.entry->location, plan.entry->country, 0.06, 0.16);
       b.push_router(plan.carrier->asn, b.site("hub/", plan.entry->city),
                     plan.entry->location, false, 0.3, /*load_balanced=*/true);
@@ -357,8 +283,12 @@ void PathBuilder::build_into(const probes::Probe& probe,
         const geo::CountryInfo& info = world_.countries().at(gw);
         b.advance_public(info.centroid, gw, 0.07, 0.22);
         b.push_router(upstream, b.site("gw/", gw), info.centroid, false, 0.3);
+        origin = &info;
       }
-      const HubRef first = nearest_hub(b.location());
+      const topology::RegionRows to_region =
+          geometry.region_rows(region, region_scratch);
+      const topology::HubRef first =
+          geometry.nearest_hub(geometry.country_row(*origin));
       b.advance_public(first.hub->location, first.hub->country, 0.07, 0.20);
       b.push_router(first.carrier->asn, b.site("hub/", first.hub->city),
                     first.hub->location, false, 0.3, /*load_balanced=*/true);
@@ -366,21 +296,22 @@ void PathBuilder::build_into(const probes::Probe& probe,
       // traceroutes — public paths look longer at router level.
       b.push_router(first.carrier->asn, b.site("hub-out/", first.hub->city),
                     first.hub->location, false, 0.15);
-      const topology::TransitHub* own_exit =
-          nearest_hub_of(*first.carrier, region.location);
-      if (geo::haversine_km(own_exit->location, region.location) > 2500.0) {
+      const topology::HubRef own_exit =
+          geometry.nearest_hub_of(*first.carrier, to_region.to_hub);
+      if (to_region.from_hub[own_exit.slot] > 2500.0) {
         // Hand off to a second carrier closer to the destination.
-        const HubRef second = nearest_hub(region.location, first.carrier);
+        const topology::HubRef second =
+            geometry.nearest_hub(to_region.to_hub, first.carrier);
         b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
                           0.09);
         b.push_router(second.carrier->asn, b.site("hub/", second.hub->city),
                       second.hub->location, false, 0.3,
                       /*load_balanced=*/true);
-      } else if (own_exit != first.hub) {
-        b.advance_managed(own_exit->location, own_exit->country, kCarrierDetour,
-                          0.085);
-        b.push_router(first.carrier->asn, b.site("hub/", own_exit->city),
-                      own_exit->location, false, 0.3,
+      } else if (own_exit.hub != first.hub) {
+        b.advance_managed(own_exit.hub->location, own_exit.hub->country,
+                          kCarrierDetour, 0.085);
+        b.push_router(first.carrier->asn, b.site("hub/", own_exit.hub->city),
+                      own_exit.hub->location, false, 0.3,
                       /*load_balanced=*/true);
       }
       b.advance_public(region.location, region.country, 0.06, 0.18);
@@ -430,21 +361,29 @@ ForwardingPath PathBuilder::build_interdc(const topology::CloudEndpoint& src,
     // small providers' "horizontal" traffic (§3.1) and all multi-cloud
     // traffic look like this.
     path.mode = InterconnectMode::Public;
-    const HubRef first = nearest_hub(b.location());
+    const topology::HubGeometry& geometry = world_.hub_geometry();
+    topology::HubGeometry::RegionScratch scratch;
+    const topology::HubRef first =
+        geometry.nearest_hub(geometry.region_rows(from, scratch).to_hub);
     b.advance_public(first.hub->location, first.hub->country, 0.06, 0.16);
     b.push_router(first.carrier->asn, "hub/" + std::string{first.hub->city},
                   first.hub->location, false, 0.3);
-    const topology::TransitHub* exit = nearest_hub_of(*first.carrier, to.location);
-    if (geo::haversine_km(exit->location, to.location) > 2500.0) {
-      const HubRef second = nearest_hub(to.location, first.carrier);
+    // The scratch is free again: `from`'s rows are no longer read.
+    const topology::RegionRows to_region = geometry.region_rows(to, scratch);
+    const topology::HubRef exit =
+        geometry.nearest_hub_of(*first.carrier, to_region.to_hub);
+    if (to_region.from_hub[exit.slot] > 2500.0) {
+      const topology::HubRef second =
+          geometry.nearest_hub(to_region.to_hub, first.carrier);
       b.advance_managed(second.hub->location, second.hub->country, kCarrierDetour,
                         0.08);
       b.push_router(second.carrier->asn, "hub/" + std::string{second.hub->city},
                     second.hub->location, false, 0.3);
-    } else if (exit != first.hub) {
-      b.advance_managed(exit->location, exit->country, kCarrierDetour, 0.08);
-      b.push_router(first.carrier->asn, "hub/" + std::string{exit->city},
-                    exit->location, false, 0.3);
+    } else if (exit.hub != first.hub) {
+      b.advance_managed(exit.hub->location, exit.hub->country, kCarrierDetour,
+                        0.08);
+      b.push_router(first.carrier->asn, "hub/" + std::string{exit.hub->city},
+                    exit.hub->location, false, 0.3);
     }
     b.advance_public(to.location, to.country, 0.06, 0.16);
   }

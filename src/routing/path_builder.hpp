@@ -15,6 +15,13 @@
 // Latency is composed from backbone segment costs (geography + quality
 // detours + border penalties), private-WAN great-circle runs, and per-hop
 // processing, with an absolute jitter budget accumulated per segment type.
+//
+// Carrier, hub and IXP choices are argmins over the world's frozen
+// HubGeometry tables (topology/hub_geometry.hpp): a build computes no
+// haversine for them, and country lookups are O(1). The tables hold the
+// same doubles the per-build scans computed, so every path is bit-identical
+// to what those scans produced. A builder only reads the world, so any
+// number of threads may build paths at once.
 
 #include "probes/fleet.hpp"
 #include "routing/path.hpp"

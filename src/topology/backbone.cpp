@@ -213,10 +213,7 @@ constexpr UplinkRule kUplinks[] = {
 Backbone::Backbone(const geo::CountryTable& countries) : countries_(countries) {
   const auto all = countries.all();
   nodes_.reserve(all.size());
-  for (const geo::CountryInfo& c : all) {
-    index_.emplace(std::string{c.code}, nodes_.size());
-    nodes_.push_back(&c);
-  }
+  for (const geo::CountryInfo& c : all) nodes_.push_back(&c);
   adjacency_.resize(nodes_.size());
 
   for (const BackboneLink& link : kLinks) {
@@ -269,12 +266,6 @@ void Backbone::precompute_nominal_routes() {
       nominal_[from * n + to] = extract_route(from, to, state);
     }
   }
-}
-
-std::optional<std::size_t> Backbone::node_index(std::string_view code) const {
-  const auto it = index_.find(std::string{code});
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 void Backbone::add_edge(std::string_view a, std::string_view b, double km,

@@ -17,7 +17,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -86,6 +85,12 @@ class Backbone {
                                    const geo::GeoPoint& b, std::string_view cb) const;
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// Node of a country code: its position in the country catalogue (O(1)),
+  /// or nullopt for unknown or malformed codes.
+  [[nodiscard]] std::optional<std::size_t> node_index(
+      std::string_view code) const {
+    return countries_.index_of(code);
+  }
   [[nodiscard]] std::size_t edge_count() const { return edges_ / 2; }
 
   /// The explicit long-haul catalogue (no auto-mesh edges) — the episode
@@ -139,7 +144,6 @@ class Backbone {
   [[nodiscard]] BackboneRoute extract_route(std::size_t from, std::size_t to,
                                             const SearchState& state) const;
 
-  [[nodiscard]] std::optional<std::size_t> node_index(std::string_view code) const;
   void add_edge(std::string_view a, std::string_view b, double km, double quality);
   /// Route every pair once, up front, so route() never writes shared state
   /// on the nominal path.
@@ -151,8 +155,8 @@ class Backbone {
   }
 
   const geo::CountryTable& countries_;
+  /// Nodes in catalogue order, so a node's index is its catalogue position.
   std::vector<const geo::CountryInfo*> nodes_;
-  std::unordered_map<std::string, std::size_t> index_;
   std::vector<std::vector<Edge>> adjacency_;
   std::vector<BackboneLinkRef> catalog_;
   std::size_t edges_ = 0;

@@ -71,6 +71,8 @@ World::World(const WorldConfig& config)
     materialize_address_plan();
     materialize_policies();
     materialize_bgp();
+    hub_geometry_ = HubGeometry::materialize(
+        countries().all(), cloud::RegionCatalog::instance().all());
   }
   obs::Registry& registry = obs::Registry::global();
   registry.gauge("world.ases").set(static_cast<double>(registry_.size()));

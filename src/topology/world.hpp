@@ -12,11 +12,13 @@
 //
 // Construction ends with a materialization pass that walks the AS/router
 // space in canonical order and pre-assigns every router address and pair
-// policy a campaign could touch (topology/address_plan.hpp). After that the
-// World is immutable on its read path: router_ip() and interconnect() are
-// pure lookups, safe for concurrent readers — the property the parallel
-// campaign executor relies on. Only the probe-generation allocators
-// (allocate_customer_ip / allocate_cgn_ip) mutate, and they are non-const.
+// policy a campaign could touch (topology/address_plan.hpp), then tables the
+// distances behind every carrier/hub/IXP choice a path build makes
+// (topology/hub_geometry.hpp). After that the World is immutable on its read
+// path: router_ip(), interconnect() and hub_geometry() are pure lookups,
+// safe for concurrent readers — the property the parallel campaign executor
+// relies on. Only the probe-generation allocators (allocate_customer_ip /
+// allocate_cgn_ip) mutate, and they are non-const.
 //
 // The analysis pipeline never touches this object's internals: it bootstraps
 // from rib_dump() / whois_entries() / ixp_prefixes(), the same way the paper
@@ -37,6 +39,7 @@
 #include "topology/as_registry.hpp"
 #include "topology/backbone.hpp"
 #include "topology/bgp.hpp"
+#include "topology/hub_geometry.hpp"
 #include "topology/interconnect.hpp"
 #include "topology/isp.hpp"
 #include "topology/route_table.hpp"
@@ -125,6 +128,10 @@ class World {
   [[nodiscard]] const AddressPlan& address_plan() const { return address_plan_; }
   /// The frozen interconnect policy table.
   [[nodiscard]] const PolicyTable& policy_table() const { return policies_; }
+  /// The frozen hub/IXP distance tables the path builder selects from.
+  [[nodiscard]] const HubGeometry& hub_geometry() const {
+    return hub_geometry_;
+  }
 
   /// The AS-level business graph derived from this world (for analyses that
   /// re-run the decision process or mutate a copy of the graph).
@@ -190,6 +197,7 @@ class World {
   PolicyTable policies_;
   BgpGraph bgp_;
   BgpRouteTable bgp_routes_;
+  HubGeometry hub_geometry_;
 
   std::vector<RibEntry> rib_;
   std::vector<RibEntry> whois_;

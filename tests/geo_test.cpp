@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <optional>
+#include <stdexcept>
+#include <string_view>
+
 #include "geo/continent.hpp"
 #include "geo/coords.hpp"
 #include "geo/country.hpp"
@@ -62,6 +67,34 @@ TEST(CountryTable, LookupKnownCountries) {
   EXPECT_EQ(table.find("XX"), nullptr);
   EXPECT_THROW((void)table.at("XX"), std::out_of_range);
   EXPECT_EQ(table.at("JP").continent, Continent::Asia);
+}
+
+TEST(CountryTable, EveryCatalogueCodeRoundTrips) {
+  const auto& table = CountryTable::instance();
+  const auto all = table.all();
+  ASSERT_EQ(all.size(), 149u);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const CountryInfo& info = all[i];
+    EXPECT_EQ(table.index_of(info.code), std::optional<std::size_t>{i})
+        << info.code;
+    EXPECT_EQ(table.find(info.code), &info) << info.code;
+    EXPECT_EQ(&table.at(info.code), &info) << info.code;
+  }
+}
+
+TEST(CountryTable, UnknownAndMalformedCodesMiss) {
+  const auto& table = CountryTable::instance();
+  for (const std::string_view code :
+       {"ZZ", "", "U", "us", "USA", "u", "Us", "uS", "D1", "@A", "[A", "A@",
+        "A[", "  "}) {
+    EXPECT_EQ(table.find(code), nullptr) << '"' << code << '"';
+    EXPECT_FALSE(table.index_of(code).has_value()) << '"' << code << '"';
+    EXPECT_THROW((void)table.at(code), std::out_of_range)
+        << '"' << code << '"';
+  }
+  // Only the view's two characters count, not what follows them.
+  EXPECT_EQ(table.find(std::string_view{"USA"}.substr(0, 2)),
+            table.find("US"));
 }
 
 TEST(CountryTable, CaseStudyCountriesPresent) {

@@ -1,15 +1,21 @@
 // Unit tests for forwarding-path construction: per-mode path shapes, hop
-// ownership, latency monotonicity, and the case-study geography (§6.2).
+// ownership, latency monotonicity, the case-study geography (§6.2), and the
+// frozen hub geometry's equivalence with per-build haversine scans.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <tuple>
 
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
+#include "topology/hub_geometry.hpp"
 #include "topology/world.hpp"
+#include "util/rng.hpp"
 
 namespace cloudrtt::routing {
 namespace {
@@ -325,6 +331,259 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple("DE", "GB"), std::make_tuple("JP", "IN"),
                       std::make_tuple("BR", "US"), std::make_tuple("EG", "ZA"),
                       std::make_tuple("AU", "SG"), std::make_tuple("US", "JP")));
+
+// --- frozen hub geometry ---------------------------------------------------
+// Reference scans: the per-build haversine selections the geometry tables
+// replaced, kept verbatim so the tables can be checked against them.
+namespace reference {
+
+struct HubRef {
+  const topology::TransitCarrier* carrier = nullptr;
+  const topology::TransitHub* hub = nullptr;
+};
+
+HubRef nearest_hub(const geo::GeoPoint& from,
+                   const topology::TransitCarrier* exclude = nullptr) {
+  HubRef best;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    if (&carrier == exclude) continue;
+    for (const topology::TransitHub& hub : carrier.hubs) {
+      const double km = geo::haversine_km(from, hub.location);
+      if (km < best_km) {
+        best_km = km;
+        best = HubRef{&carrier, &hub};
+      }
+    }
+  }
+  return best;
+}
+
+const topology::TransitHub* nearest_hub_of(
+    const topology::TransitCarrier& carrier, const geo::GeoPoint& from) {
+  const topology::TransitHub* best = nullptr;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const topology::TransitHub& hub : carrier.hubs) {
+    const double km = geo::haversine_km(from, hub.location);
+    if (km < best_km) {
+      best_km = km;
+      best = &hub;
+    }
+  }
+  return best;
+}
+
+topology::CarrierPlan best_single_carrier(const geo::GeoPoint& from,
+                                          const geo::GeoPoint& to) {
+  topology::CarrierPlan best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const topology::TransitHub& entry : carrier.hubs) {
+      for (const topology::TransitHub& exit : carrier.hubs) {
+        const double cost = geo::haversine_km(from, entry.location) +
+                            geo::haversine_km(entry.location, exit.location) +
+                            geo::haversine_km(exit.location, to);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = topology::CarrierPlan{&carrier, &entry, &exit};
+        }
+      }
+    }
+  }
+  return best;
+}
+
+const topology::IxpInfo* choose_ixp(std::string_view country,
+                                    const geo::GeoPoint& near) {
+  const topology::IxpInfo* best = nullptr;
+  double best_km = std::numeric_limits<double>::infinity();
+  for (const topology::IxpInfo& ixp : topology::known_ixps()) {
+    if (ixp.country == country) return &ixp;
+    const double km = geo::haversine_km(near, ixp.location);
+    if (km < best_km) {
+      best_km = km;
+      best = &ixp;
+    }
+  }
+  return best;
+}
+
+}  // namespace reference
+
+class HubGeometryTest : public ::testing::Test {
+ protected:
+  /// Every table-driven choice a probe path from `country` to `region`
+  /// makes equals the reference scan: same pointers, same distance bits.
+  void expect_choices_match(const geo::CountryInfo& country,
+                            const cloud::RegionInfo& region) {
+    const topology::HubGeometry& geometry = world_.hub_geometry();
+    topology::HubGeometry::RegionScratch scratch;
+    const topology::RegionRows rows = geometry.region_rows(region, scratch);
+    const topology::HubRow from = geometry.country_row(country);
+    const std::string where = std::string{country.code} + "->" +
+                              std::string{region.region_name};
+
+    const topology::CarrierPlan plan =
+        geometry.best_single_carrier(from, rows.from_hub);
+    const topology::CarrierPlan want_plan =
+        reference::best_single_carrier(country.centroid, region.location);
+    EXPECT_EQ(plan.carrier, want_plan.carrier) << where;
+    EXPECT_EQ(plan.entry, want_plan.entry) << where;
+    EXPECT_EQ(plan.exit, want_plan.exit) << where;
+
+    const topology::HubRef first = geometry.nearest_hub(from);
+    const reference::HubRef want_first =
+        reference::nearest_hub(country.centroid);
+    ASSERT_EQ(first.carrier, want_first.carrier) << where;
+    ASSERT_EQ(first.hub, want_first.hub) << where;
+
+    const topology::HubRef own_exit =
+        geometry.nearest_hub_of(*first.carrier, rows.to_hub);
+    const topology::TransitHub* want_exit =
+        reference::nearest_hub_of(*first.carrier, region.location);
+    ASSERT_EQ(own_exit.hub, want_exit) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rows.from_hub[own_exit.slot]),
+              std::bit_cast<std::uint64_t>(
+                  geo::haversine_km(want_exit->location, region.location)))
+        << where;
+
+    const topology::HubRef second =
+        geometry.nearest_hub(rows.to_hub, first.carrier);
+    const reference::HubRef want_second =
+        reference::nearest_hub(region.location, first.carrier);
+    EXPECT_EQ(second.carrier, want_second.carrier) << where;
+    EXPECT_EQ(second.hub, want_second.hub) << where;
+  }
+
+  topology::World world_{topology::WorldConfig{11}};
+};
+
+TEST_F(HubGeometryTest, FlatHubListFollowsCarrierOrder) {
+  const auto hubs = world_.hub_geometry().hubs();
+  std::size_t slot = 0;
+  for (const topology::TransitCarrier& carrier : topology::tier1_carriers()) {
+    for (const topology::TransitHub& hub : carrier.hubs) {
+      ASSERT_LT(slot, hubs.size());
+      EXPECT_EQ(hubs[slot].carrier, &carrier);
+      EXPECT_EQ(hubs[slot].hub, &hub);
+      EXPECT_EQ(hubs[slot].slot, slot);
+      ++slot;
+    }
+  }
+  EXPECT_EQ(slot, hubs.size());
+  EXPECT_LE(hubs.size(), topology::HubGeometry::kMaxHubs);
+}
+
+TEST_F(HubGeometryTest, TablesMatchScansForEveryCountryAndRegion) {
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    for (const cloud::RegionInfo& region :
+         cloud::RegionCatalog::instance().all()) {
+      expect_choices_match(country, region);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST_F(HubGeometryTest, IxpChoiceMatchesScanForEveryCountry) {
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    EXPECT_EQ(world_.hub_geometry().choose_ixp(country),
+              reference::choose_ixp(country.code, country.centroid))
+        << country.code;
+  }
+}
+
+TEST_F(HubGeometryTest, InterDcOriginMatchesScanForEveryRegion) {
+  const topology::HubGeometry& geometry = world_.hub_geometry();
+  for (const cloud::RegionInfo& region :
+       cloud::RegionCatalog::instance().all()) {
+    topology::HubGeometry::RegionScratch scratch;
+    const topology::HubRef first =
+        geometry.nearest_hub(geometry.region_rows(region, scratch).to_hub);
+    const reference::HubRef want = reference::nearest_hub(region.location);
+    EXPECT_EQ(first.carrier, want.carrier) << region.region_name;
+    EXPECT_EQ(first.hub, want.hub) << region.region_name;
+  }
+}
+
+TEST_F(HubGeometryTest, OffCatalogueRegionUsesOnTheFlyRows) {
+  // A hand-built region (not an element of the catalogue) at a spot no
+  // catalogue region occupies: its rows must be computed, not looked up.
+  cloud::RegionInfo odd = cloud::RegionCatalog::instance().all().front();
+  odd.region_name = "odd-region-1";
+  odd.location = geo::GeoPoint{-12.25, 75.5};  // Indian Ocean
+  topology::HubGeometry::RegionScratch scratch;
+  const topology::RegionRows rows =
+      world_.hub_geometry().region_rows(odd, scratch);
+  EXPECT_EQ(rows.to_hub.data(), scratch.to_hub.data());
+  EXPECT_EQ(rows.from_hub.data(), scratch.from_hub.data());
+  for (const geo::CountryInfo& country : world_.countries().all()) {
+    expect_choices_match(country, odd);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// FNV-1a over every field of every hop, in a fixed byte order (struct
+// padding never enters the digest).
+class HopDigest {
+ public:
+  void add(const ForwardingPath& path) {
+    put(static_cast<std::uint64_t>(path.mode));
+    put(path.hops.size());
+    for (const RouterHop& hop : path.hops) {
+      put(hop.ip.value());
+      put(hop.asn);
+      put(std::bit_cast<std::uint64_t>(hop.location.lat_deg));
+      put(std::bit_cast<std::uint64_t>(hop.location.lon_deg));
+      put(static_cast<std::uint64_t>(hop.is_private));
+      put(static_cast<std::uint64_t>(hop.cloud_owned));
+      put(std::bit_cast<std::uint64_t>(hop.base_rtt_ms));
+      put(std::bit_cast<std::uint64_t>(hop.noise_abs_ms));
+      put(hop.alt_ip.value());
+    }
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  void put(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t hash_ = util::kFnv1aBasis;
+};
+
+// Pinned against the per-build haversine scans the geometry replaced: any
+// drift in a chosen hub, IXP or distance changes these digests.
+TEST(PathBuilderDigest, SampledPathsAreBitIdenticalAcrossAllModes) {
+  topology::World world{topology::WorldConfig{42}};
+  const probes::ProbeFleet fleet{
+      world, probes::FleetConfig{probes::Platform::Speedchecker, 600}};
+  const PathBuilder builder{world};
+  util::Rng rng{20211102};
+  HopDigest digest;
+  ForwardingPath path;
+  for (int sample = 0; sample < 1500; ++sample) {
+    const probes::Probe& probe = fleet.probes()[rng.below(fleet.size())];
+    const topology::CloudEndpoint& endpoint =
+        world.endpoints()[rng.below(world.endpoints().size())];
+    for (const InterconnectMode mode :
+         {InterconnectMode::Direct, InterconnectMode::DirectIxp,
+          InterconnectMode::OneAs, InterconnectMode::Public}) {
+      builder.build_into(probe, endpoint, mode, path);
+      digest.add(path);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x58cdc2f11073afe2ULL);
+
+  HopDigest interdc;
+  for (int sample = 0; sample < 400; ++sample) {
+    const auto& endpoints = world.endpoints();
+    interdc.add(builder.build_interdc(endpoints[rng.below(endpoints.size())],
+                                      endpoints[rng.below(endpoints.size())]));
+  }
+  EXPECT_EQ(interdc.value(), 0x9dae0852e5e1530bULL);
+}
 
 }  // namespace
 }  // namespace cloudrtt::routing

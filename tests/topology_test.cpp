@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string_view>
 #include <unordered_set>
 
 #include "topology/as_registry.hpp"
@@ -75,6 +79,28 @@ TEST_F(BackboneTest, AllCountriesReachable) {
   for (const geo::CountryInfo& country : all) {
     const BackboneRoute& route = backbone_.route(hub, country.code);
     EXPECT_TRUE(route.reachable) << country.code;
+  }
+}
+
+TEST_F(BackboneTest, NodeIndexIsTheCataloguePosition) {
+  const auto all = geo::CountryTable::instance().all();
+  ASSERT_EQ(backbone_.node_count(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(backbone_.node_index(all[i].code), std::optional<std::size_t>{i})
+        << all[i].code;
+    const BackboneRoute& self = backbone_.route(all[i].code, all[i].code);
+    ASSERT_EQ(self.countries.size(), 1u);
+    EXPECT_EQ(self.countries.front(), all[i].code);
+  }
+}
+
+TEST_F(BackboneTest, UnknownCodesHaveNoNodeAndNoRoute) {
+  for (const std::string_view code : {"ZZ", "", "U", "us", "USA"}) {
+    EXPECT_FALSE(backbone_.node_index(code).has_value()) << '"' << code << '"';
+    EXPECT_THROW((void)backbone_.route(code, "DE"), std::out_of_range)
+        << '"' << code << '"';
+    EXPECT_THROW((void)backbone_.route("DE", code), std::out_of_range)
+        << '"' << code << '"';
   }
 }
 
