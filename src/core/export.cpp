@@ -388,124 +388,44 @@ void emit(std::ostream* out, std::uint64_t* fold, std::string_view bytes) {
   if (fold != nullptr) *fold = util::fnv1a_accum(*fold, bytes);
 }
 
-void emit_trailer(std::ostream* out, std::uint64_t* fold,
-                  const ExportOptions& options, std::uint64_t hash,
-                  std::uint64_t rows) {
-  if (!options.integrity_trailer) return;
-  const std::string line = "#cloudrtt-integrity rows=" + std::to_string(rows) +
-                           " fnv1a=" + format_dataset_hash(hash) + "\n";
-  emit(out, fold, line);
-}
-
-}  // namespace
-
-namespace detail {
-
-struct WriterAccess {
-  static PingCsvWriter pings(std::ostream* out, std::uint64_t* fold,
-                             const ExportOptions& options, unsigned workers) {
-    return PingCsvWriter{out, fold, options, workers};
-  }
-  static TraceCsvWriter traces(std::ostream* out, std::uint64_t* fold,
-                               const ExportOptions& options,
-                               unsigned workers) {
-    return TraceCsvWriter{out, fold, options, workers};
-  }
-};
-
-unsigned encode_workers() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-}  // namespace detail
-
-PingCsvWriter::PingCsvWriter(std::ostream& out, const ExportOptions& options)
-    : PingCsvWriter(&out, nullptr, options, detail::encode_workers()) {}
-
-PingCsvWriter::PingCsvWriter(std::ostream* out, std::uint64_t* fold,
-                             const ExportOptions& options, unsigned workers)
-    : out_(out),
-      fold_(fold),
-      options_(options),
-      workers_(workers),
-      hash_(kFnvBasis) {
-  emit(out_, fold_, kPingHeader);
-}
-
-void PingCsvWriter::write(const measure::Dataset& data) {
-  encode_ranges(
-      data.pings.size(), kPingRange, workers_,
-      [&](RangeSlot& slot) {
-        encode_pings(data, slot.begin, slot.end, options_.roundtrip_doubles,
-                     slot.buffer);
-        return std::uint64_t{slot.end - slot.begin};
-      },
-      [&](std::string_view bytes, std::uint64_t rows) {
-        emit(out_, fold_, bytes);
-        if (options_.integrity_trailer) hash_ = util::fnv1a_accum(hash_, bytes);
-        rows_ += rows;
-      });
-}
-
-void PingCsvWriter::finish() {
-  emit_trailer(out_, fold_, options_, hash_, rows_);
-  obs::Registry::global().counter("export.ping_rows_total").inc(rows_);
-}
-
-TraceCsvWriter::TraceCsvWriter(std::ostream& out, const ExportOptions& options)
-    : TraceCsvWriter(&out, nullptr, options, detail::encode_workers()) {}
-
-TraceCsvWriter::TraceCsvWriter(std::ostream* out, std::uint64_t* fold,
-                               const ExportOptions& options, unsigned workers)
-    : out_(out),
-      fold_(fold),
-      options_(options),
-      workers_(workers),
-      hash_(kFnvBasis) {
-  emit(out_, fold_, kTraceHeader);
-  emit(out_, fold_, options_.ground_truth ? ",true_mode\n" : "\n");
-}
-
-void TraceCsvWriter::write(const measure::Dataset& data) {
-  encode_ranges(
-      data.traces.size(), kTraceRange, workers_,
-      [&](RangeSlot& slot) {
-        return encode_traces(data, slot.begin, slot.end, trace_id_ + slot.begin,
-                             options_, slot.buffer);
-      },
-      [&](std::string_view bytes, std::uint64_t rows) {
-        emit(out_, fold_, bytes);
-        if (options_.integrity_trailer) hash_ = util::fnv1a_accum(hash_, bytes);
-        rows_ += rows;
-      });
-  trace_id_ += data.traces.size();
-}
-
-void TraceCsvWriter::finish() {
-  emit_trailer(out_, fold_, options_, hash_, rows_);
-  obs::Registry::global().counter("export.trace_rows_total").inc(rows_);
-}
-
-namespace {
-
 void export_pings(std::ostream* out, std::uint64_t* fold,
                   const measure::Dataset& data, const ExportOptions& options,
                   unsigned workers) {
   obs::Span phase = obs::span("core.export.pings_csv");
-  PingCsvWriter writer =
-      detail::WriterAccess::pings(out, fold, options, workers);
-  writer.write(data);
-  writer.finish();
+  emit(out, fold, kPingHeader);
+  std::uint64_t rows = 0;
+  encode_ranges(
+      data.pings.size(), kPingRange, workers,
+      [&](RangeSlot& slot) {
+        encode_pings(data, slot.begin, slot.end, options.roundtrip_doubles,
+                     slot.buffer);
+        return std::uint64_t{slot.end - slot.begin};
+      },
+      [&](std::string_view bytes, std::uint64_t range_rows) {
+        emit(out, fold, bytes);
+        rows += range_rows;
+      });
+  obs::Registry::global().counter("export.ping_rows_total").inc(rows);
 }
 
 void export_traces(std::ostream* out, std::uint64_t* fold,
                    const measure::Dataset& data, const ExportOptions& options,
                    unsigned workers) {
   obs::Span phase = obs::span("core.export.traces_csv");
-  TraceCsvWriter writer =
-      detail::WriterAccess::traces(out, fold, options, workers);
-  writer.write(data);
-  writer.finish();
+  emit(out, fold, kTraceHeader);
+  emit(out, fold, options.ground_truth ? ",true_mode\n" : "\n");
+  std::uint64_t rows = 0;
+  encode_ranges(
+      data.traces.size(), kTraceRange, workers,
+      [&](RangeSlot& slot) {
+        return encode_traces(data, slot.begin, slot.end, slot.begin, options,
+                             slot.buffer);
+      },
+      [&](std::string_view bytes, std::uint64_t range_rows) {
+        emit(out, fold, bytes);
+        rows += range_rows;
+      });
+  obs::Registry::global().counter("export.trace_rows_total").inc(rows);
 }
 
 /// The options of the canonical serialisation the dataset hash covers:
@@ -520,6 +440,10 @@ void export_traces(std::ostream* out, std::uint64_t* fold,
 }  // namespace
 
 namespace detail {
+
+unsigned encode_workers() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 void export_pings_csv(std::ostream& out, const measure::Dataset& data,
                       const ExportOptions& options, unsigned workers) {
@@ -542,21 +466,13 @@ std::uint64_t dataset_hash(const measure::Dataset& data, unsigned workers) {
 }  // namespace detail
 
 void export_pings_csv(std::ostream& out, const measure::Dataset& data) {
-  export_pings_csv(out, data, ExportOptions{});
-}
-
-void export_pings_csv(std::ostream& out, const measure::Dataset& data,
-                      const ExportOptions& options) {
-  detail::export_pings_csv(out, data, options, detail::encode_workers());
+  detail::export_pings_csv(out, data, ExportOptions{},
+                           detail::encode_workers());
 }
 
 void export_traces_csv(std::ostream& out, const measure::Dataset& data) {
-  export_traces_csv(out, data, ExportOptions{});
-}
-
-void export_traces_csv(std::ostream& out, const measure::Dataset& data,
-                       const ExportOptions& options) {
-  detail::export_traces_csv(out, data, options, detail::encode_workers());
+  detail::export_traces_csv(out, data, ExportOptions{},
+                            detail::encode_workers());
 }
 
 std::uint64_t dataset_hash(const measure::Dataset& data) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/checkpoint.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "store/io_env.hpp"
@@ -93,6 +92,14 @@ bool Study::run_campaign(std::string_view platform,
     meta.fault_profile = std::string{to_string(config_.fault_profile)};
     const int format =
         control.resume ? store::manifest_format(store_dir, platform, *io) : 0;
+    if (format != 0 && format != 3) {
+      // Refuse rather than fall through to a fresh writer, which would wipe
+      // the manifest and lane files this resume was asked to continue.
+      throw std::runtime_error{
+          "Study::run: cannot resume '" + std::string{platform} + "' from " +
+          store::store_manifest_path(store_dir, platform).string() + ": " +
+          store::unsupported_format_reason(format)};
+    }
     if (format == 3) {
       // A streaming resume never materialises the committed rows: the
       // structural open validates the store and yields the lane byte marks
@@ -136,33 +143,6 @@ bool Study::run_campaign(std::string_view platform,
       CLOUDRTT_LOG_INFO("study.resume", {"platform", platform},
                         {"next_day", start.next_day},
                         {"day_tasks_done", start.day_tasks_done},
-                        {"pings", dataset.pings.size()});
-    } else if (control.resume && (format == 2 || format == 1)) {
-      CheckpointLoad load = load_checkpoint(
-          control.checkpoint_dir, platform, sc_fleet_.get(), atlas_fleet_.get());
-      if (!load.ok()) {
-        throw std::runtime_error{"Study::run: cannot resume '" +
-                                 std::string{platform} + "': " + load.error};
-      }
-      if (load.meta.seed != config_.seed) {
-        throw_seed_mismatch(
-            platform,
-            std::filesystem::path{control.checkpoint_dir} /
-                (std::string{platform} + ".manifest"),
-            load.meta.seed, config_.seed);
-      }
-      start = load.meta.state;
-      dataset = std::move(load.data);
-      // One-way migration: rewrite the legacy CSV checkpoint as a streaming
-      // store so every later day spills flat-cost. The writer wipes the old
-      // artefact set (same manifest path) before adopting the rows.
-      writer = std::make_unique<store::ShardWriter>(
-          store_dir, meta, std::max(1u, config_.threads), *io, /*fresh=*/true);
-      if (!writer->adopt(dataset, start)) {
-        CLOUDRTT_LOG_WARN("study.migrate_degraded", {"platform", platform});
-      }
-      CLOUDRTT_LOG_INFO("study.migrated_checkpoint", {"platform", platform},
-                        {"next_day", start.next_day},
                         {"pings", dataset.pings.size()});
     } else {
       writer = std::make_unique<store::ShardWriter>(

@@ -100,9 +100,9 @@ struct RunControl {
   std::string spill_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
-  /// uncommitted shard tail a crash left behind; a legacy format=2 CSV
-  /// checkpoint is migrated to the streaming store first). Throws
-  /// std::runtime_error when the checkpoint is corrupt or from another seed.
+  /// uncommitted shard tail a crash left behind). Throws std::runtime_error
+  /// when the checkpoint is corrupt, from another seed, or has a manifest
+  /// that is not format=3; a refused resume leaves every file untouched.
   bool resume = false;
   /// Stop each campaign once this many days have completed (campaign days
   /// are counted from day 0, so resume + a larger value continues). The

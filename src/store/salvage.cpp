@@ -434,22 +434,31 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
 
 int manifest_format(const fs::path& dir, std::string_view platform,
                     IoEnv& io) {
-  const std::optional<std::string> text =
-      io.read_file(store_manifest_path(dir, platform));
-  if (!text.has_value()) return 0;
+  const fs::path path = store_manifest_path(dir, platform);
+  const std::optional<std::string> text = io.read_file(path);
+  if (!text.has_value()) {
+    return io.file_size(path).has_value() ? kUnparseableManifest : 0;
+  }
   const std::string_view view{*text};
+  const std::string_view first_line = view.substr(0, view.find('\n'));
   constexpr std::string_view kKey = "format=";
-  if (!view.starts_with(kKey)) return 0;
-  const std::size_t end = view.find('\n', kKey.size());
   int format = 0;
-  if (!parse_number(view.substr(kKey.size(),
-                                end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : end - kKey.size()),
-                    format)) {
-    return 0;
+  if (!first_line.starts_with(kKey) ||
+      !parse_number(first_line.substr(kKey.size()), format) || format <= 0) {
+    return kUnparseableManifest;
   }
   return format;
+}
+
+std::string unsupported_format_reason(int format) {
+  if (format == kUnparseableManifest) {
+    return "manifest is unreadable or does not start with a format=N line";
+  }
+  const std::string found = "format=" + std::to_string(format);
+  if (format == 1 || format == 2) {
+    return "legacy " + found + " checkpoint; re-run from scratch";
+  }
+  return "unknown " + found + " manifest (this build reads format=3)";
 }
 
 OpenResult open_store_structural(const fs::path& dir,
@@ -488,29 +497,13 @@ OpenResult open_store(const fs::path& dir, std::string_view platform,
 FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
   FsckReport report;
   report.format = manifest_format(dir, platform, io);
-  switch (report.format) {
-    case 0:
-      report.error = "no store or checkpoint manifest found";
-      return report;
-    case 1:
-      report.error =
-          "legacy format=1 checkpoint (router-replay quartets); cannot be "
-          "resumed — re-run the campaign from scratch";
-      return report;
-    case 2: {
-      // Legacy CSV checkpoints validate at load time (integrity trailers);
-      // fsck only confirms the files are present.
-      for (const char* suffix : {".pings.csv", ".traces.csv"}) {
-        const fs::path path = dir / (std::string{platform} + suffix);
-        if (!io.file_size(path).has_value()) {
-          report.error = "legacy checkpoint is missing " + path.string();
-          return report;
-        }
-      }
-      return report;
-    }
-    default:
-      break;
+  if (report.format == 0) {
+    report.error = "no store manifest found";
+    return report;
+  }
+  if (report.format != 3) {
+    report.error = unsupported_format_reason(report.format);
+    return report;
   }
   const OpenResult opened =
       open_impl(dir, platform, io, /*binder=*/nullptr, /*repair=*/false);
@@ -539,12 +532,6 @@ FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
 std::string FsckReport::render(std::string_view platform) const {
   std::string line{platform};
   line += ": ";
-  if (format == 2 && healthy()) {
-    line +=
-        "format=2 legacy CSV checkpoint (a resume migrates it to the "
-        "streaming store) — HEALTHY";
-    return line;
-  }
   if (!healthy()) {
     line += "DAMAGED: " + error;
     return line;

@@ -62,15 +62,24 @@ struct OpenResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Manifest format under `dir` for `platform`: 3 (streaming store),
-/// 2 (legacy CSV checkpoint), 1 (pre-address-plan legacy), 0 (none/unreadable).
+/// manifest_format() of a manifest that exists but cannot be read or does
+/// not start with a `format=N` line (N > 0).
+inline constexpr int kUnparseableManifest = -1;
+
+/// Manifest format under `dir` for `platform`: 0 when there is no manifest,
+/// kUnparseableManifest, or the N of its `format=N` first line. Only 3 (the
+/// streaming store) can be opened; 1 and 2 were legacy CSV checkpoints.
 [[nodiscard]] int manifest_format(const std::filesystem::path& dir,
                                   std::string_view platform, IoEnv& io);
+
+/// Why a manifest of `format` (neither 0 nor 3) cannot be opened. fsck
+/// reports it as the DAMAGED reason, and a resume refuses with it.
+[[nodiscard]] std::string unsupported_format_reason(int format);
 
 /// Open a format=3 store: strict-validate the committed region, salvage the
 /// tail, rebuild the dataset and resume state. `repair` additionally
 /// truncates torn/dropped tail bytes so a ShardWriter can continue in place;
-/// read-only callers (load_checkpoint, fsck) pass false.
+/// read-only callers pass false.
 [[nodiscard]] OpenResult open_store(const std::filesystem::path& dir,
                                     std::string_view platform, IoEnv& io,
                                     const probes::ProbeFleet* sc_fleet,

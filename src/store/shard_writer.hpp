@@ -105,8 +105,8 @@ class ShardWriter {
   /// not hold. Advisory return, like append_day().
   bool commit(const measure::CampaignState& state);
 
-  /// Migrate a legacy (format=2) checkpoint wholesale: write every day of
-  /// `data` as blocks, commit `state`, then drain. Unlike the streaming
+  /// Write a whole in-memory dataset at once: every day of `data` as
+  /// blocks, commit `state`, then drain. Unlike the streaming
   /// calls this returns the ground truth: false when the disk rejected part
   /// of it (the store stays uncommitted/degraded; the campaign can still
   /// run on).

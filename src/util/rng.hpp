@@ -29,8 +29,7 @@ namespace cloudrtt::util {
 inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
 
 /// Streaming FNV-1a: continue `hash` over more bytes. One shared definition
-/// so the export trailer, the import validator and the store block codec can
-/// never drift apart.
+/// so the in-memory and streamed dataset hashes can never drift apart.
 [[nodiscard]] constexpr std::uint64_t fnv1a_accum(std::uint64_t hash,
                                                   std::string_view text) noexcept {
   for (const char ch : text) {

@@ -1,6 +1,6 @@
 // Unit tests for the core layer: JSON writer, CSV parse/serialize round
-// trips, dataset export/import, the row encoder's byte-equivalence oracle,
-// and the full JSON report.
+// trips, the row encoder's byte-equivalence oracle, and the full JSON
+// report.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,9 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "analysis/trace_analysis.hpp"
 #include "core/export.hpp"
-#include "core/import.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "geo/country.hpp"
@@ -101,172 +98,6 @@ class CoreRoundTrip : public ::testing::Test {
   }
 };
 
-TEST_F(CoreRoundTrip, PingsExportImport) {
-  std::ostringstream out;
-  core::export_pings_csv(out, study().sc_dataset());
-
-  std::istringstream in{out.str()};
-  measure::Dataset imported;
-  const core::ImportStats stats = core::import_pings_csv(
-      in, &study().sc_fleet(), &study().atlas_fleet(), imported);
-  EXPECT_TRUE(stats.clean()) << stats.skipped << " skipped";
-  ASSERT_EQ(imported.pings.size(), study().sc_dataset().pings.size());
-  for (std::size_t i = 0; i < imported.pings.size(); ++i) {
-    const auto& a = study().sc_dataset().pings[i];
-    const auto& b = imported.pings[i];
-    EXPECT_EQ(a.probe, b.probe);
-    EXPECT_EQ(a.region, b.region);
-    EXPECT_EQ(a.protocol, b.protocol);
-    EXPECT_NEAR(a.rtt_ms, b.rtt_ms, 0.001);
-    EXPECT_EQ(a.day, b.day);
-  }
-}
-
-TEST_F(CoreRoundTrip, TracesExportImport) {
-  std::ostringstream out;
-  core::export_traces_csv(out, study().sc_dataset());
-
-  std::istringstream in{out.str()};
-  measure::Dataset imported;
-  const core::ImportStats stats = core::import_traces_csv(
-      in, &study().sc_fleet(), &study().atlas_fleet(), imported);
-  EXPECT_TRUE(stats.clean()) << stats.skipped << " skipped";
-  ASSERT_EQ(imported.traces.size(), study().sc_dataset().traces.size());
-  for (std::size_t i = 0; i < imported.traces.size(); ++i) {
-    const auto& a = study().sc_dataset().traces[i];
-    const auto& b = imported.traces[i];
-    EXPECT_EQ(a.probe, b.probe);
-    EXPECT_EQ(a.region, b.region);
-    EXPECT_EQ(a.target_ip, b.target_ip);
-    EXPECT_EQ(a.completed, b.completed);
-    ASSERT_EQ(a.hops.size(), b.hops.size());
-    for (std::size_t h = 0; h < a.hops.size(); ++h) {
-      EXPECT_EQ(a.hops[h].responded, b.hops[h].responded);
-      if (a.hops[h].responded) {
-        EXPECT_EQ(a.hops[h].ip, b.hops[h].ip);
-        EXPECT_NEAR(a.hops[h].rtt_ms, b.hops[h].rtt_ms, 0.001);
-      }
-    }
-  }
-}
-
-TEST_F(CoreRoundTrip, ImportedTracesReanalyzeIdentically) {
-  // The "dataset + scripts" promise: analysis on the re-imported dataset
-  // gives the same answers as on the original.
-  std::ostringstream out;
-  core::export_traces_csv(out, study().sc_dataset());
-  std::istringstream in{out.str()};
-  measure::Dataset imported;
-  (void)core::import_traces_csv(in, &study().sc_fleet(), &study().atlas_fleet(),
-                                imported);
-  const auto& resolver = study().resolver();
-  ASSERT_FALSE(imported.traces.empty());
-  for (std::size_t i = 0; i < std::min<std::size_t>(200, imported.traces.size());
-       ++i) {
-    const auto a =
-        analysis::classify_interconnect(study().sc_dataset().traces[i], resolver);
-    const auto b = analysis::classify_interconnect(imported.traces[i], resolver);
-    EXPECT_EQ(a.valid, b.valid);
-    if (a.valid) {
-      EXPECT_EQ(a.mode, b.mode);
-    }
-  }
-}
-
-TEST_F(CoreRoundTrip, ImportSkipsGarbageRows) {
-  std::istringstream in{
-      "probe_id,platform,country,continent,isp_asn,provider,region,protocol,"
-      "rtt_ms,day\n"
-      "notanumber,x,DE,EU,1,AMZN,eu-central-1,TCP,12.0,0\n"
-      "999999999,x,DE,EU,1,AMZN,eu-central-1,TCP,12.0,0\n"
-      "1,x,DE,EU,1,NOPE,nowhere,TCP,12.0,0\n"
-      "short,row\n"};
-  measure::Dataset imported;
-  const core::ImportStats stats = core::import_pings_csv(
-      in, &study().sc_fleet(), nullptr, imported);
-  EXPECT_EQ(stats.rows, 4u);
-  EXPECT_EQ(stats.imported, 0u);
-  EXPECT_EQ(stats.skipped, 4u);
-  EXPECT_TRUE(imported.pings.empty());
-}
-
-TEST_F(CoreRoundTrip, ImportReportsLineNumberedErrors) {
-  // A damaged file must come back with structured diagnostics — the line
-  // that failed and why — not just a skip counter.
-  const std::uint32_t good_probe = study().sc_fleet().probes().front().id;
-  std::istringstream in{
-      "probe_id,platform,country,continent,isp_asn,provider,region,protocol,"
-      "rtt_ms,day,slot\n"                                          // line 1
-      "short,row\n"                                                // line 2
-      "oops,x,DE,EU,1,AMZN,eu-central-1,TCP,12.0,0,0\n"            // line 3
-      "1,x,DE,EU,1,AMZN,eu-central-1,TCP,fast,0,0\n"               // line 4
-      "1,x,DE,EU,1,AMZN,eu-central-1,TCP,12.0,0,9\n"               // line 5
-      + std::to_string(good_probe) +
-      ",x,DE,EU,1,NOPE,nowhere,TCP,12.0,0,0\n"};                   // line 6
-  measure::Dataset imported;
-  const core::ImportStats stats =
-      core::import_pings_csv(in, &study().sc_fleet(), nullptr, imported);
-  EXPECT_EQ(stats.skipped, 5u);
-  ASSERT_EQ(stats.errors.size(), 5u);
-  const std::pair<std::size_t, std::string> expected[] = {
-      {2, "expected 11 fields"}, {3, "bad probe_id"}, {4, "bad rtt_ms"},
-      {5, "bad slot"},           {6, "unknown region"},
-  };
-  for (std::size_t i = 0; i < std::size(expected); ++i) {
-    EXPECT_EQ(stats.errors[i].line, expected[i].first) << i;
-    EXPECT_NE(stats.errors[i].message.find(expected[i].second),
-              std::string::npos)
-        << stats.errors[i].message;
-  }
-}
-
-TEST_F(CoreRoundTrip, ImportCapsStoredErrors) {
-  // Pathological files must not balloon memory: the skip counter keeps
-  // counting but only the first kMaxErrors diagnostics are retained.
-  std::ostringstream in;
-  in << "probe_id,platform,country,continent,isp_asn,provider,region,protocol,"
-        "rtt_ms,day,slot\n";
-  for (int i = 0; i < 100; ++i) in << "bad,row\n";
-  std::istringstream stream{in.str()};
-  measure::Dataset imported;
-  const core::ImportStats stats =
-      core::import_pings_csv(stream, nullptr, nullptr, imported);
-  EXPECT_EQ(stats.skipped, 100u);
-  EXPECT_EQ(stats.errors.size(), core::ImportStats::kMaxErrors);
-}
-
-TEST_F(CoreRoundTrip, IntegrityTrailerRoundTripsAndCatchesTampering) {
-  core::ExportOptions options;
-  options.integrity_trailer = true;
-  options.roundtrip_doubles = true;
-  std::ostringstream out;
-  core::export_pings_csv(out, study().sc_dataset(), options);
-  const std::string text = out.str();
-  ASSERT_NE(text.find("#cloudrtt-integrity"), std::string::npos);
-
-  {  // untouched: trailer validates
-    std::istringstream in{text};
-    measure::Dataset imported;
-    const core::ImportStats stats =
-        core::import_pings_csv(in, &study().sc_fleet(), nullptr, imported);
-    EXPECT_TRUE(stats.trailer_present);
-    EXPECT_TRUE(stats.clean());
-    EXPECT_EQ(imported.pings.size(), study().sc_dataset().pings.size());
-  }
-  {  // one byte flipped in a data row: checksum mismatch
-    std::string tampered = text;
-    const std::size_t mid = tampered.find('\n') + 10;
-    tampered[mid] = tampered[mid] == '1' ? '2' : '1';
-    std::istringstream in{tampered};
-    measure::Dataset imported;
-    const core::ImportStats stats =
-        core::import_pings_csv(in, &study().sc_fleet(), nullptr, imported);
-    EXPECT_TRUE(stats.trailer_present);
-    EXPECT_FALSE(stats.trailer_ok);
-    EXPECT_FALSE(stats.clean());
-  }
-}
-
 TEST_F(CoreRoundTrip, FullReportIsWellFormedJson) {
   std::ostringstream out;
   core::write_full_report(out, study().view());
@@ -315,41 +146,24 @@ namespace reference {
                            : util::format_double(value, 3);
 }
 
-/// Header, data rows folded into the integrity hash, optional trailer.
+/// Header, then one util::write_csv_row line per row.
 class Csv {
  public:
-  Csv(const core::ExportOptions& options,
-      const std::vector<std::string>& header)
-      : options_(options) {
+  explicit Csv(const std::vector<std::string>& header) {
     util::write_csv_row(out_, header);
   }
   void row(const std::vector<std::string>& cells) {
-    std::ostringstream buffer;
-    util::write_csv_row(buffer, cells);
-    const std::string serialized = buffer.str();
-    hash_ = util::fnv1a_accum(hash_, serialized);
-    ++rows_;
-    out_ << serialized;
+    util::write_csv_row(out_, cells);
   }
-  [[nodiscard]] std::string finish() {
-    if (options_.integrity_trailer) {
-      out_ << "#cloudrtt-integrity rows=" << rows_
-           << " fnv1a=" << core::format_dataset_hash(hash_) << '\n';
-    }
-    return out_.str();
-  }
+  [[nodiscard]] std::string finish() const { return out_.str(); }
 
  private:
-  core::ExportOptions options_;
   std::ostringstream out_;
-  std::uint64_t hash_ = util::kFnv1aBasis;
-  std::uint64_t rows_ = 0;
 };
 
 [[nodiscard]] std::string pings_csv(const measure::Dataset& data,
                                     const core::ExportOptions& options) {
-  Csv csv{options,
-          {"probe_id", "platform", "country", "continent", "isp_asn",
+  Csv csv{{"probe_id", "platform", "country", "continent", "isp_asn",
            "provider", "region", "protocol", "rtt_ms", "day", "slot"}};
   for (const measure::PingRecord& ping : data.pings) {
     const probes::Probe& probe = *ping.probe;
@@ -373,7 +187,7 @@ class Csv {
                                   "end_to_end_ms", "ttl", "responded", "hop_ip",
                                   "hop_rtt_ms"};
   if (options.ground_truth) header.emplace_back("true_mode");
-  Csv csv{options, header};
+  Csv csv{header};
   std::uint64_t trace_id = 0;
   for (const measure::TraceRef& trace : data.traces) {
     for (const measure::HopRecord& hop : trace.hops) {
@@ -402,14 +216,11 @@ class Csv {
 [[nodiscard]] std::vector<core::ExportOptions> all_export_options() {
   std::vector<core::ExportOptions> all;
   for (const bool roundtrip : {false, true}) {
-    for (const bool trailer : {false, true}) {
-      for (const bool truth : {false, true}) {
-        core::ExportOptions options;
-        options.roundtrip_doubles = roundtrip;
-        options.integrity_trailer = trailer;
-        options.ground_truth = truth;
-        all.push_back(options);
-      }
+    for (const bool truth : {false, true}) {
+      core::ExportOptions options;
+      options.roundtrip_doubles = roundtrip;
+      options.ground_truth = truth;
+      all.push_back(options);
     }
   }
   return all;
@@ -417,7 +228,6 @@ class Csv {
 
 [[nodiscard]] std::string describe(const core::ExportOptions& options) {
   return std::string{"roundtrip="} + (options.roundtrip_doubles ? "1" : "0") +
-         " trailer=" + (options.integrity_trailer ? "1" : "0") +
          " ground_truth=" + (options.ground_truth ? "1" : "0");
 }
 
@@ -566,13 +376,12 @@ TEST_F(CoreRoundTrip, RowEncoderMatchesReferenceOnTheCampaignDataset) {
 TEST(RowEncoder, MatchesReferenceOnHandBuiltEdgeCases) {
   const HandBuiltRows rows;
   // The quoting path is exercised: both CSVs contain a quoted cell.
-  core::ExportOptions options;
   std::ostringstream pings;
-  core::export_pings_csv(pings, rows.data(), options);
+  core::export_pings_csv(pings, rows.data());
   EXPECT_NE(pings.str().find("\"Q,\"\"Z\"\"\""), std::string::npos);
   EXPECT_NE(pings.str().find(",-0.000,"), std::string::npos);
   std::ostringstream traces;
-  core::export_traces_csv(traces, rows.data(), options);
+  core::export_traces_csv(traces, rows.data());
   EXPECT_NE(traces.str().find("\"west,\"\"eu\"\"\n2\""), std::string::npos);
   EXPECT_NE(traces.str().find(",255.255.255.255,"), std::string::npos);
 
@@ -581,36 +390,6 @@ TEST(RowEncoder, MatchesReferenceOnHandBuiltEdgeCases) {
 
 TEST(RowEncoder, EmptyDatasetWritesHeadersAndTrailersOnly) {
   expect_encoder_matches_reference(measure::Dataset{});
-}
-
-TEST(RowEncoder, TraceIdsContinueAcrossWriteCalls) {
-  const HandBuiltRows rows;
-  const measure::Dataset& whole = rows.data();
-  // Three uneven parts, boundaries off the encoder's range sizes.
-  const std::size_t ping_cuts[] = {0, 7, 4100, whole.pings.size()};
-  const std::size_t trace_cuts[] = {0, 1, 700, whole.traces.size()};
-  std::vector<measure::Dataset> parts(3);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    parts[i].append_slice(whole, ping_cuts[i], ping_cuts[i + 1], trace_cuts[i],
-                          trace_cuts[i + 1]);
-  }
-  for (const core::ExportOptions& options : all_export_options()) {
-    std::ostringstream ping_out;
-    core::PingCsvWriter pings{ping_out, options};
-    std::ostringstream trace_out;
-    core::TraceCsvWriter traces{trace_out, options};
-    for (const measure::Dataset& part : parts) {
-      pings.write(part);
-      traces.write(part);
-    }
-    pings.finish();
-    traces.finish();
-    EXPECT_EQ(pings.rows(), whole.pings.size());
-    expect_same_bytes(ping_out.str(), reference::pings_csv(whole, options),
-                      "pings " + describe(options));
-    expect_same_bytes(trace_out.str(), reference::traces_csv(whole, options),
-                      "traces " + describe(options));
-  }
 }
 
 TEST(StudyApi, ViewBeforeRunAbortsWithContractMessage) {

@@ -18,13 +18,14 @@
 #include <filesystem>
 #include <string>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
 #include "core/study.hpp"
 #include "obs/metrics.hpp"
 #include "probes/fleet.hpp"
 #include "routing/path_builder.hpp"
 #include "routing/path_cache.hpp"
+#include "store/io_env.hpp"
+#include "store/salvage.hpp"
 #include "topology/world.hpp"
 
 namespace cloudrtt {
@@ -235,7 +236,8 @@ TEST(PathCacheGate, KillAndResumeWithWarmCacheHashesIdentically) {
   first.stop_after_day = 1;
   killed.run(first);
   EXPECT_FALSE(killed.completed());
-  ASSERT_TRUE(core::checkpoint_exists(dir, "speedchecker"));
+  store::IoEnv io;
+  ASSERT_EQ(store::manifest_format(dir, "speedchecker", io), 3);
 
   // Second process: a fresh study (cold cache) replays the remaining day.
   core::Study resumed{cache_config(7, 4)};

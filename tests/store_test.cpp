@@ -21,11 +21,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/export.hpp"
-#include "core/import.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
 #include "store/codec.hpp"
@@ -99,12 +98,6 @@ struct BlockSpan {
   std::size_t size = 0;    ///< header line + payload
 };
 
-[[nodiscard]] std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string{std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>()};
-}
-
 void write_file(const fs::path& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
@@ -113,7 +106,7 @@ void write_file(const fs::path& path, const std::string& content) {
 /// Parse every framed block of a lane file (the baseline store is healthy,
 /// so the walk is expected to consume the whole file).
 [[nodiscard]] std::vector<BlockSpan> index_blocks(const fs::path& lane_file) {
-  const std::string text = read_file(lane_file);
+  const std::string text = store::IoEnv{}.read_file(lane_file).value_or("");
   std::vector<BlockSpan> blocks;
   std::size_t offset = 0;
   while (offset < text.size()) {
@@ -191,15 +184,6 @@ TEST(StoreRoundTrip, CompletedStoreReproducesTheDatasetBitExactly) {
             core::format_dataset_hash(baseline().hash));
 }
 
-TEST(StoreRoundTrip, LoadCheckpointReadsFormat3Transparently) {
-  const core::CheckpointLoad load =
-      core::load_checkpoint(baseline().dir, kPlatform, fleet(), nullptr);
-  ASSERT_TRUE(load.ok()) << load.error;
-  EXPECT_EQ(load.meta.seed, kSeed);
-  EXPECT_EQ(load.meta.state.next_day, 3u);
-  EXPECT_EQ(core::dataset_hash(load.data), baseline().hash);
-}
-
 TEST(StoreRoundTrip, FsckReportsAHealthyStore) {
   store::IoEnv io;
   const store::FsckReport report = store::fsck(baseline().dir, kPlatform, io);
@@ -256,7 +240,7 @@ TEST(StoreCorruption, TornTrailerSalvagesWholeBlocksAndReplaysTheRest) {
 // not return a silently different dataset.
 TEST(StoreCorruption, BitFlippedCommittedBlockRefusesLoudly) {
   const fs::path dir = copy_store("cloudrtt_store_bitflip");
-  std::string text = read_file(lane0(dir));
+  std::string text = store::IoEnv{}.read_file(lane0(dir)).value_or("");
   const std::size_t payload_start = text.find('\n') + 1;
   ASSERT_LT(payload_start + 8, text.size());
   text[payload_start + 8] = static_cast<char>(text[payload_start + 8] ^ 0x20);
@@ -299,7 +283,7 @@ TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
     }
   }
   ASSERT_LT(first_tail, blocks.size());
-  const std::string text = read_file(lane0(dir));
+  const std::string text = store::IoEnv{}.read_file(lane0(dir)).value_or("");
   const std::string duplicate =
       text.substr(blocks[first_tail].offset, blocks[first_tail].size);
   write_file(lane0(dir), text + duplicate);
@@ -375,39 +359,6 @@ TEST(StoreFaults, HarshIoFaultsLeaveDatasetBitsUnchanged) {
             core::format_dataset_hash(baseline().hash));
 }
 
-// Legacy path: a format=2 CSV checkpoint resumes transparently — the study
-// migrates it to a format=3 store and continues to the baseline bits.
-TEST(StoreMigration, Format2CheckpointMigratesOnResume) {
-  const fs::path stopped_dir =
-      fs::path{::testing::TempDir()} / "cloudrtt_store_stopped";
-  fs::remove_all(stopped_dir);
-  core::Study stopped{store_config()};
-  core::RunControl first;
-  first.checkpoint_dir = stopped_dir.string();
-  first.stop_after_day = 2;
-  stopped.run(first);
-  EXPECT_FALSE(stopped.completed());
-
-  store::IoEnv io;
-  const store::OpenResult opened = store::open_store(
-      stopped_dir, kPlatform, io, &stopped.sc_fleet(), nullptr, /*repair=*/false);
-  ASSERT_TRUE(opened.ok()) << opened.error;
-
-  const fs::path legacy_dir =
-      fs::path{::testing::TempDir()} / "cloudrtt_store_legacy";
-  fs::remove_all(legacy_dir);
-  core::CheckpointMeta meta;
-  meta.state = opened.state;
-  meta.seed = kSeed;
-  meta.platform = std::string{kPlatform};
-  ASSERT_EQ(core::save_checkpoint(legacy_dir, meta, opened.data), "");
-  EXPECT_EQ(store::manifest_format(legacy_dir, kPlatform, io), 2);
-
-  EXPECT_EQ(core::format_dataset_hash(resume_hash(legacy_dir)),
-            core::format_dataset_hash(baseline().hash));
-  EXPECT_EQ(store::manifest_format(legacy_dir, kPlatform, io), 3);
-}
-
 // Satellite regression: the refusal must name both seeds and the manifest
 // path, so an operator can tell at a glance which artefact disagrees.
 TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
@@ -429,6 +380,57 @@ TEST(StoreResume, SeedMismatchRefusalNamesBothSeedsAndThePath) {
         what.find(store::store_manifest_path(dir, kPlatform).string()),
         std::string::npos)
         << what;
+  }
+}
+
+/// Name -> bytes of every file in `dir`.
+[[nodiscard]] std::map<std::string, std::string> snapshot(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] =
+        store::IoEnv{}.read_file(entry.path()).value_or("");
+  }
+  return files;
+}
+
+// A resume over a manifest that is not format=3 refuses, naming the path and
+// what it found, and leaves the store byte-identical. Falling through to a
+// fresh writer would wipe the manifest and every lane file.
+TEST(StoreResume, NonFormat3ManifestRefusesAndLeavesEveryFileUntouched) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"format=2", "legacy format=2 checkpoint; re-run from scratch"},
+      {"format=9", "unknown format=9"},
+      {"garbage", "does not start with a format=N line"},
+  };
+  for (const auto& [first_line, reason] : cases) {
+    const fs::path dir = copy_store("cloudrtt_store_unresumable");
+    const fs::path manifest = store::store_manifest_path(dir, kPlatform);
+    std::string text = store::IoEnv{}.read_file(manifest).value_or("");
+    text.replace(0, text.find('\n'), first_line);
+    write_file(manifest, text);
+    const std::map<std::string, std::string> before = snapshot(dir);
+
+    core::Study resumed{store_config()};
+    core::RunControl control;
+    control.checkpoint_dir = dir.string();
+    control.resume = true;
+    try {
+      resumed.run(control);
+      ADD_FAILURE() << first_line << ": resume must throw";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(manifest.string()), std::string::npos) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+    EXPECT_TRUE(snapshot(dir) == before)
+        << first_line << ": the refused resume changed a file";
+
+    store::IoEnv io;
+    const store::FsckReport report = store::fsck(dir, kPlatform, io);
+    EXPECT_FALSE(report.healthy()) << first_line;
+    EXPECT_NE(report.render(kPlatform).find("DAMAGED: "), std::string::npos)
+        << report.render(kPlatform);
+    EXPECT_NE(report.error.find(reason), std::string::npos) << report.error;
   }
 }
 
@@ -483,7 +485,7 @@ class TracePassCorruptingIo final : public store::IoEnv {
 
   [[nodiscard]] std::unique_ptr<std::istream> open_read(
       const fs::path& path) const override {
-    std::string text = cloudrtt::read_file(path);
+    std::string text = IoEnv::read_file(path).value_or("");
     if (opens_[path.string()]++ > 0) {
       const std::vector<BlockSpan> blocks = index_blocks(path);
       const BlockSpan& target = blocks.at(block_);
@@ -565,20 +567,6 @@ TEST(StreamedHash, MultiLaneStoreHashesLikeTheInMemoryDataset) {
         << workers << " workers";
   }
   fs::remove_all(dir);
-}
-
-// Satellite regression: the import error digest must disclose how many
-// errors the kMaxErrors cap suppressed.
-TEST(StoreImports, ErrorSummaryCountsSuppressedErrors) {
-  core::ImportStats stats;
-  stats.skipped = 40;
-  for (std::size_t line = 0; line < core::ImportStats::kMaxErrors; ++line) {
-    stats.errors.push_back({line + 2, "bad row"});
-  }
-  const std::string summary = stats.error_summary();
-  EXPECT_NE(summary.find("bad row"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("8 more suppressed"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("40 errors total"), std::string::npos) << summary;
 }
 
 }  // namespace
