@@ -132,34 +132,6 @@ bool ShardWriter::commit(const measure::CampaignState& state) {
   return !degraded();
 }
 
-bool ShardWriter::adopt(const measure::Dataset& data,
-                        const measure::CampaignState& state) {
-  CLOUDRTT_CHECK(data.pings.size() == data.traces.size(),
-                 "adopted dataset must pair pings and traces 1:1");
-  // Rows arrive in canonical campaign order: grouped by day, days ascending,
-  // pings and traces advancing in lockstep. Stream each day's contiguous
-  // segment; cursor/first_task are 0 because adopted blocks always start a
-  // day (an adopted dataset holds whole days only).
-  std::size_t begin = 0;
-  while (begin < data.pings.size()) {
-    const std::uint32_t day = data.pings.day(begin);
-    std::size_t end = begin;
-    while (end < data.pings.size() && data.pings.day(end) == day) ++end;
-    CLOUDRTT_CHECK(data.traces.day(begin) == day &&
-                       data.traces.day(end - 1) == day,
-                   "adopted pings and traces disagree on day boundaries");
-    // Carve the day into its own dataset so the job copies exactly that
-    // day's rows (adoption is a cold path; the extra splice is fine).
-    measure::Dataset day_rows;
-    day_rows.append_slice(data, begin, end, begin, end);
-    (void)append_day(day, 0, 0, day_rows, 0, 0);
-    begin = end;
-  }
-  (void)commit(state);
-  drain();
-  return !degraded();
-}
-
 void ShardWriter::drain() {
   std::unique_lock<std::mutex> lock{mutex_};
   idle_cv_.wait(lock, [this] { return jobs_.empty() && !worker_busy_; });

@@ -105,14 +105,6 @@ class ShardWriter {
   /// not hold. Advisory return, like append_day().
   bool commit(const measure::CampaignState& state);
 
-  /// Write a whole in-memory dataset at once: every day of `data` as
-  /// blocks, commit `state`, then drain. Unlike the streaming
-  /// calls this returns the ground truth: false when the disk rejected part
-  /// of it (the store stays uncommitted/degraded; the campaign can still
-  /// run on).
-  bool adopt(const measure::Dataset& data,
-             const measure::CampaignState& state);
-
   /// Block until every enqueued job has retired. On return degraded() and
   /// pending_blocks() describe the store's true state.
   void drain();

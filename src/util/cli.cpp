@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -109,7 +110,29 @@ double ArgParser::get_double(std::string_view name) const {
   return std::stod(get(name));
 }
 
-long ArgParser::get_int(std::string_view name) const { return std::stol(get(name)); }
+long ArgParser::get_int(std::string_view name) const {
+  const std::string& text = get(name);
+  long value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument{"--" + std::string{name} +
+                                ": expected an integer, got '" + text + "'"};
+  }
+  return value;
+}
+
+std::uint64_t ArgParser::count_up_to(std::string_view name,
+                                     std::uint64_t max) const {
+  const long value = get_int(name);
+  if (value < 0 || static_cast<std::uint64_t>(value) > max) {
+    throw std::invalid_argument{"--" + std::string{name} +
+                                ": expected a count in [0, " +
+                                std::to_string(max) + "], got " +
+                                std::to_string(value)};
+  }
+  return static_cast<std::uint64_t>(value);
+}
 
 bool ArgParser::get_flag(std::string_view name) const {
   const Option* option = find(name);

@@ -3,6 +3,10 @@
 // (--days 6), boolean flags (--no-atlas), positionals, and generated help.
 // No dependencies, strict by default (unknown options are errors).
 
+#include <concepts>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,7 +34,15 @@ class ArgParser {
 
   [[nodiscard]] const std::string& get(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
+  /// The whole value as a base-10 integer; throws std::invalid_argument
+  /// naming the option for anything else ("abc", "3x", "", out of range).
   [[nodiscard]] long get_int(std::string_view name) const;
+  /// get_int() for a count stored as T: also rejects, the same way, a value
+  /// below 0 or above T's maximum.
+  template <std::unsigned_integral T = std::size_t>
+  [[nodiscard]] T get_count(std::string_view name) const {
+    return static_cast<T>(count_up_to(name, std::numeric_limits<T>::max()));
+  }
   [[nodiscard]] bool get_flag(std::string_view name) const;
 
   [[nodiscard]] std::string help() const;
@@ -51,6 +63,8 @@ class ArgParser {
     bool has_default = false;
   };
 
+  [[nodiscard]] std::uint64_t count_up_to(std::string_view name,
+                                          std::uint64_t max) const;
   Option* find(std::string_view name);
   [[nodiscard]] const Option* find(std::string_view name) const;
 

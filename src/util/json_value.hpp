@@ -1,10 +1,11 @@
 #pragma once
 // Minimal JSON parser (DOM, read side of util/json.hpp's writer): enough to
-// load a BENCH_*.json report back for regression comparison and to validate
-// the Chrome-trace export in tests. Strict on structure (unterminated
-// containers, trailing garbage and bad escapes are errors), permissive on
-// whitespace. Object member order is preserved, so round-tripping a document
-// written by JsonWriter is deterministic.
+// reload the lint baseline and symbol-index cache, read the Chrome-trace
+// events perfbench derives per-day times from, and validate that export in
+// tests. Strict on structure (unterminated containers, trailing garbage and
+// bad escapes are errors), permissive on whitespace. Object member order is
+// preserved, so round-tripping a document written by JsonWriter is
+// deterministic.
 
 #include <optional>
 #include <string>

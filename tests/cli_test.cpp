@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "fault/plan.hpp"
 #include "util/cli.hpp"
 
@@ -97,6 +101,50 @@ TEST(ArgParser, GetUnknownThrows) {
   ASSERT_TRUE(parser.parse(1, argv));
   EXPECT_THROW((void)parser.get("nope"), std::out_of_range);
   EXPECT_THROW((void)parser.get_flag("count"), std::out_of_range);
+}
+
+/// get_int() on `--count <value>` must throw std::invalid_argument whose
+/// message names the option and quotes the value.
+void expect_malformed_count(const char* value) {
+  ArgParser parser = make_parser();
+  const char* argv[] = {"prog", "--count", value};
+  ASSERT_TRUE(parser.parse(3, argv));
+  try {
+    (void)parser.get_int("count");
+    FAIL() << "get_int accepted '" << value << "'";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--count"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + std::string{value} + "'"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(ArgParser, IntegerRejectsLetters) { expect_malformed_count("abc"); }
+
+TEST(ArgParser, IntegerRejectsTrailingGarbage) { expect_malformed_count("3x"); }
+
+TEST(ArgParser, IntegerRejectsEmptyValue) { expect_malformed_count(""); }
+
+TEST(ArgParser, CountRejectsNegativeAndOversizedValues) {
+  ArgParser parser = make_parser();
+  const char* argv[] = {"prog", "--count", "-1"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  EXPECT_EQ(parser.get_int("count"), -1);
+  EXPECT_THROW((void)parser.get_count("count"), std::invalid_argument);
+
+  // 2^32 fits a size_t but would wrap to 0 in a uint32_t.
+  ArgParser big = make_parser();
+  const char* big_argv[] = {"prog", "--count=4294967296"};
+  ASSERT_TRUE(big.parse(2, big_argv));
+  EXPECT_EQ(big.get_count("count"), 4294967296u);
+  EXPECT_THROW((void)big.get_count<std::uint32_t>("count"),
+               std::invalid_argument);
+
+  ArgParser zero = make_parser();
+  const char* zero_argv[] = {"prog", "--count=0"};
+  ASSERT_TRUE(zero.parse(2, zero_argv));
+  EXPECT_EQ(zero.get_count<std::uint32_t>("count"), 0u);
 }
 
 // The study command's fault-injection options, exercised with the same

@@ -14,8 +14,11 @@
 #include "core/scale.hpp"
 #include "core/study.hpp"
 #include "fault/plan.hpp"
+#include "measure/campaign.hpp"
+#include "probes/fleet.hpp"
 #include "store/io_env.hpp"
 #include "store/salvage.hpp"
+#include "topology/world.hpp"
 
 namespace cloudrtt {
 namespace {
@@ -232,6 +235,30 @@ TEST(DeterminismGate, PaperScaleStreamedKillAndResumeHashesIdentically) {
   EXPECT_EQ(core::format_dataset_hash(uninterrupted.hash),
             core::format_dataset_hash(spliced.hash));
   fs::remove_all(base);
+}
+
+// Golden: one campaign day of a 2,000-probe Speedchecker fleet on world seed
+// 7 (20,000-task budget, no case studies) hashes to e53195f690eea700 at 1
+// and at 4 worker threads. A change to the executor's chunk/RNG discipline,
+// to the measurement model or to any byte of the canonical CSV fails here.
+// The RNG stream label "bench/trajectory" is part of the pinned input.
+TEST(DeterminismGate, CampaignDayHashIsPinnedAtOneAndFourThreads) {
+  topology::World world{topology::WorldConfig{7}};
+  const probes::ProbeFleet fleet{
+      world, probes::FleetConfig{probes::Platform::Speedchecker, 2000}};
+  for (const unsigned threads : {1u, 4u}) {
+    measure::CampaignConfig config;
+    config.days = 1;
+    config.daily_budget = 20000;
+    config.run_case_studies = false;
+    config.threads = threads;
+    const measure::Campaign campaign{world, fleet, config};
+    const measure::Dataset data =
+        campaign.run(world.fork_rng("bench/trajectory"));
+    EXPECT_EQ(core::format_dataset_hash(core::dataset_hash(data)),
+              "e53195f690eea700")
+        << threads << " thread(s)";
+  }
 }
 
 TEST(DeterminismGate, HashFormatIsSixteenHexDigits) {

@@ -302,7 +302,10 @@ TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
 
 // Degrade-don't-die: a disk that refuses half its appends must not lose a
 // single row — blocks queue in memory, and once the disk heals, one commit
-// catches the store up to a state indistinguishable from a healthy run.
+// catches the store up to a state indistinguishable from a healthy run. The
+// baseline dataset is written the way the campaign writes it: each day's
+// rows appended to a growing dataset and handed over as its tail, then a
+// commit of the next day's state.
 TEST(StoreFaults, DegradedWriterCatchesUpAfterTheDiskHeals) {
   fault::IoFaults faults;
   faults.append_error_rate = 0.5;
@@ -317,13 +320,25 @@ TEST(StoreFaults, DegradedWriterCatchesUpAfterTheDiskHeals) {
   meta.seed = kSeed;
   store::ShardWriter writer{dir, meta, /*lanes=*/2, io, /*fresh=*/true};
 
+  const measure::Dataset& all = baseline().study->sc_dataset();
+  measure::Dataset grown;
   measure::CampaignState done;
-  done.next_day = 3;
-  const bool durable = writer.adopt(baseline().study->sc_dataset(), done);
-  EXPECT_GT(io.faults_injected(), 0u);
-  if (!durable) {
-    EXPECT_TRUE(writer.degraded() || writer.pending_blocks() > 0);
+  bool backlog = false;
+  for (std::size_t begin = 0; begin < all.pings.size();) {
+    const std::uint32_t day = all.pings.day(begin);
+    std::size_t end = begin;
+    while (end < all.pings.size() && all.pings.day(end) == day) ++end;
+    grown.append_slice(all, begin, end, begin, end);
+    (void)writer.append_day(day, 0, 0, grown, begin, begin);
+    done.next_day = day + 1;
+    (void)writer.commit(done);
+    writer.drain();
+    backlog = backlog || writer.degraded() || writer.pending_blocks() > 0;
+    begin = end;
   }
+  EXPECT_EQ(done.next_day, 3u);
+  EXPECT_GT(io.faults_injected(), 0u);
+  EXPECT_TRUE(backlog);
 
   io.heal();
   // commit() is advisory-async: enqueue the catch-up, then drain for the

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/resolve.hpp"
@@ -319,20 +320,19 @@ int cmd_study(int argc, const char* const* argv,
   }
   core::apply_scale(config, scale);
   if (!args.get("sc-probes").empty()) {
-    config.sc_probes = static_cast<std::size_t>(args.get_int("sc-probes"));
+    config.sc_probes = args.get_count("sc-probes");
   }
   if (!args.get("atlas-probes").empty()) {
-    config.atlas_probes =
-        static_cast<std::size_t>(args.get_int("atlas-probes"));
+    config.atlas_probes = args.get_count("atlas-probes");
   }
   config.include_atlas = !args.get_flag("no-atlas");
-  config.sc_campaign.days = static_cast<std::uint32_t>(args.get_int("days"));
+  config.sc_campaign.days = args.get_count<std::uint32_t>("days");
   if (!args.get("budget").empty()) {
-    config.sc_campaign.daily_budget =
-        static_cast<std::size_t>(args.get_int("budget"));
+    config.sc_campaign.daily_budget = args.get_count("budget");
   }
-  if (const long threads = args.get_int("threads"); threads > 0) {
-    config.threads = static_cast<unsigned>(threads);
+  if (const unsigned threads = args.get_count<unsigned>("threads");
+      threads > 0) {
+    config.threads = threads;
   }
 
   const auto profile = fault::profile_from_string(args.get("fault-profile"));
@@ -394,8 +394,9 @@ int cmd_study(int argc, const char* const* argv,
     }
     return healthy ? 0 : 1;
   }
-  if (const long stop = args.get_int("stop-after-day"); stop > 0) {
-    control.stop_after_day = static_cast<std::uint32_t>(stop);
+  if (const auto stop = args.get_count<std::uint32_t>("stop-after-day");
+      stop > 0) {
+    control.stop_after_day = stop;
   }
 
   if (!args.get("trace-out").empty()) {
@@ -607,11 +608,17 @@ int main(int argc, char** argv) {
   // Shift argv so subcommand parsers see their own name at index 0.
   const int sub_argc = argc - 1;
   const char* const* sub_argv = argv + 1;
-  if (command == "world") return cmd_world(sub_argc, sub_argv);
-  if (command == "resolve") return cmd_resolve(sub_argc, sub_argv);
-  if (command == "trace") return cmd_trace(sub_argc, sub_argv);
-  if (command == "study") return cmd_study(sub_argc, sub_argv);
-  if (command == "run") return cmd_run(sub_argc, sub_argv);
+  try {
+    if (command == "world") return cmd_world(sub_argc, sub_argv);
+    if (command == "resolve") return cmd_resolve(sub_argc, sub_argv);
+    if (command == "trace") return cmd_trace(sub_argc, sub_argv);
+    if (command == "study") return cmd_study(sub_argc, sub_argv);
+    if (command == "run") return cmd_run(sub_argc, sub_argv);
+  } catch (const std::invalid_argument& error) {
+    // A malformed option value, e.g. `--days abc` (util::ArgParser).
+    std::cerr << "cloudrtt " << command << ": " << error.what() << "\n";
+    return 1;
+  }
   if (command == "--help" || command == "-h") {
     print_usage();
     return 0;

@@ -10,9 +10,9 @@
 //   cloudrtt-lint --root . --dump-symbols       # harvested unordered names
 //
 // Exit code 0 when every finding is suppressed or baselined, 1 when any
-// active finding remains, 3 on usage/IO errors (matching bench_compare's
-// convention). The SARIF report is written before the nonzero exit so CI can
-// upload it from a failing job. See src/lint/.
+// active finding remains, 3 on usage/IO errors. The SARIF report is written
+// before the nonzero exit so CI can upload it from a failing job. See
+// src/lint/.
 
 #include <algorithm>
 #include <filesystem>
