@@ -5,8 +5,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <exception>
-#include <istream>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -18,6 +16,7 @@
 #include "obs/trace.hpp"
 #include "store/codec.hpp"
 #include "store/io_env.hpp"
+#include "store/lane_reader.hpp"
 #include "store/salvage.hpp"
 #include "util/rng.hpp"
 
@@ -500,128 +499,17 @@ std::string format_dataset_hash(std::uint64_t hash) {
 
 namespace {
 
-/// One lane of a day-ordered store scan: a reader over the lane file with
-/// the next block's header and payload buffered.
-struct LaneCursor {
-  std::unique_ptr<std::istream> in;
-  std::uint64_t remaining = 0;  ///< durable bytes not yet consumed
-  store::BlockHeader header;
-  std::string payload;
-  bool has_block = false;
-};
-
-/// Read the next framed block of `lane` into its buffer. Empty return on
-/// success (has_block says whether anything was read); error text otherwise.
-[[nodiscard]] std::string advance_lane(LaneCursor& lane, std::size_t index) {
-  lane.has_block = false;
-  if (lane.remaining == 0) return {};
-  const auto fail = [&](std::string_view what) {
-    return "lane " + std::to_string(index) + ": " + std::string{what};
-  };
-  std::string line;
-  if (!std::getline(*lane.in, line)) {
-    return fail("committed region ends inside a block header");
-  }
-  const std::uint64_t header_bytes = line.size() + 1;
-  if (header_bytes > lane.remaining ||
-      !store::parse_block_header(line, lane.header)) {
-    return fail("malformed committed block header");
-  }
-  if (lane.header.bytes > lane.remaining - header_bytes) {
-    return fail("committed block straddles the manifest's byte mark");
-  }
-  lane.payload.resize(lane.header.bytes);
-  lane.in->read(lane.payload.data(),
-                static_cast<std::streamsize>(lane.header.bytes));
-  if (static_cast<std::uint64_t>(lane.in->gcount()) != lane.header.bytes) {
-    return fail("committed block payload truncated");
-  }
-  if (util::fnv1a_words(lane.payload) != lane.header.fnv1a) {
-    return fail("committed block checksum mismatch");
-  }
-  lane.remaining -= header_bytes + lane.header.bytes;
-  lane.has_block = true;
-  return {};
-}
-
 /// One store block as a work item: the raw payload the scan read, the rows
 /// the worker decodes it into, and the CSV bytes it encodes them to. A read
 /// error becomes an item of its own, so errors surface in scan order.
 struct BlockSlot {
-  store::BlockHeader header;
-  std::size_t lane = 0;
+  store::Block block;
   std::string payload;
   measure::Dataset rows;
   std::uint64_t first_trace = 0;
   std::uint64_t csv_rows = 0;
   RowBuffer buffer;
   std::string error;
-};
-
-/// Every durable block of a store in global (day, start) order. Day D lives
-/// in lane D % L and appends are globally FIFO, so the merge only ever
-/// compares the lanes' head blocks.
-class StoreScan {
- public:
-  /// Open every lane and buffer its first block; error text on failure.
-  [[nodiscard]] std::string open(const std::filesystem::path& dir,
-                                 std::string_view platform, store::IoEnv& io,
-                                 const std::vector<store::LaneState>& lanes) {
-    cursors_.resize(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      cursors_[i].remaining = lanes[i].durable_bytes;
-      if (cursors_[i].remaining == 0) continue;
-      cursors_[i].in = io.open_read(store::store_lane_path(dir, platform, i));
-      if (cursors_[i].in == nullptr) {
-        return "lane " + std::to_string(i) + ": shard file unreadable";
-      }
-      if (std::string err = advance_lane(cursors_[i], i); !err.empty()) {
-        return err;
-      }
-    }
-    return {};
-  }
-
-  /// Move the next block into `slot` (swapping buffers, so payload capacity
-  /// recycles); false once the scan is over. A read error after a block is
-  /// handed out as the following item.
-  [[nodiscard]] bool next(BlockSlot& slot) {
-    slot.error.clear();
-    if (finished_) return false;
-    if (!pending_error_.empty()) {
-      slot.error = std::move(pending_error_);
-      finished_ = true;
-      return true;
-    }
-    std::size_t next = cursors_.size();
-    for (std::size_t i = 0; i < cursors_.size(); ++i) {
-      if (!cursors_[i].has_block) continue;
-      if (next == cursors_.size() ||
-          cursors_[i].header.day < cursors_[next].header.day ||
-          (cursors_[i].header.day == cursors_[next].header.day &&
-           cursors_[i].header.start < cursors_[next].header.start)) {
-        next = i;
-      }
-    }
-    if (next == cursors_.size()) {
-      finished_ = true;
-      return false;
-    }
-    LaneCursor& lane = cursors_[next];
-    slot.header = lane.header;
-    slot.lane = next;
-    slot.payload.swap(lane.payload);
-    slot.first_trace = traces_;
-    traces_ += lane.header.tasks;  // one trace per task
-    pending_error_ = advance_lane(lane, next);
-    return true;
-  }
-
- private:
-  std::vector<LaneCursor> cursors_;
-  std::uint64_t traces_ = 0;
-  std::string pending_error_;
-  bool finished_ = false;
 };
 
 enum class Pass { Pings, Traces };
@@ -634,27 +522,37 @@ enum class Pass { Pings, Traces };
     store::IoEnv& io, const store::OpenResult& opened,
     const store::RowBinder& binder, Pass pass, unsigned workers,
     std::uint64_t& hash, std::uint64_t& csv_rows) {
-  StoreScan scan;
-  if (std::string err = scan.open(dir, platform, io, opened.lane_states);
-      !err.empty()) {
-    return err;
-  }
+  store::StoreScan scan{dir, platform, io, opened.lane_states};
   const ExportOptions options = hash_options();
   if (opened.durable_rows <= store::kBlockTasks) workers = 1;
   std::vector<BlockSlot> slots(window_for(workers));
   for (BlockSlot& slot : slots) {
     slot.rows.bind(binder.sc_fleet(), binder.atlas_fleet());
   }
+  std::uint64_t traces = 0;
+  bool scanned = false;
   std::string error;
   run_ordered(
-      workers, slots, [&](BlockSlot& slot) { return scan.next(slot); },
+      workers, slots,
+      [&](BlockSlot& slot) {
+        slot.error.clear();
+        if (scanned) return false;
+        if (!scan.next(slot.block, slot.payload)) {
+          scanned = true;
+          slot.error = scan.error();
+          return !slot.error.empty();
+        }
+        slot.first_trace = traces;
+        traces += slot.block.header.tasks;  // one trace per task
+        return true;
+      },
       [&](BlockSlot& slot) {
         if (!slot.error.empty()) return;
         slot.rows.clear_rows();
-        if (std::string err =
-                binder.parse_block(slot.payload, slot.header, slot.rows);
+        if (std::string err = binder.parse_block(slot.payload,
+                                                 slot.block.header, slot.rows);
             !err.empty()) {
-          slot.error = "lane " + std::to_string(slot.lane) + ": " + err;
+          slot.error = "lane " + std::to_string(slot.block.lane) + ": " + err;
           return;
         }
         slot.buffer.clear();

@@ -69,9 +69,7 @@ bool Study::run_campaign(std::string_view platform,
         "run keeps only one day's rows in memory, so the store is the only "
         "copy of the data"};
   }
-  const std::filesystem::path store_dir =
-      control.spill_dir.empty() ? std::filesystem::path{control.checkpoint_dir}
-                                : std::filesystem::path{control.spill_dir};
+  const std::filesystem::path store_dir{control.checkpoint_dir};
 
   // The store's filesystem seam: plain POSIX, or the fault-injecting
   // decorator when the study is configured to stress its own durability.

@@ -94,10 +94,6 @@ struct RunControl {
   /// per-lane shard files at the end of every day and an atomically-renamed
   /// manifest is the commit point (see store/shard_writer.hpp).
   std::string checkpoint_dir;
-  /// Where shard files spill; empty = alongside the checkpoints in
-  /// `checkpoint_dir`. Lets a campaign stream to scratch storage while the
-  /// (tiny) manifest lives with the rest of the run's artefacts.
-  std::string spill_dir;
   /// Resume from `checkpoint_dir` when a committed checkpoint exists there
   /// (resuming replays the remaining days bit-identically, salvaging any
   /// uncommitted shard tail a crash left behind). Throws std::runtime_error

@@ -98,17 +98,6 @@ struct Reader {
   }
 };
 
-/// Records carry pointers into the static RegionCatalog (world construction
-/// aliases its entries), so a catalog index is the exact, O(1) encoding.
-[[nodiscard]] std::uint16_t region_index(const cloud::RegionInfo* region) {
-  const std::span<const cloud::RegionInfo> all =
-      cloud::RegionCatalog::instance().all();
-  const auto index = static_cast<std::size_t>(region - all.data());
-  CLOUDRTT_CHECK(index < all.size(),
-                 "serialized record's region must come from the catalog");
-  return static_cast<std::uint16_t>(index);
-}
-
 }  // namespace
 
 std::string format_block_header(const BlockHeader& header) {
@@ -144,35 +133,6 @@ bool parse_block_header(std::string_view line, BlockHeader& out) {
          take_field(rest, "bytes", value) && parse_number(value, out.bytes) &&
          take_field(rest, "fnv1a", value) &&
          parse_number(value, out.fnv1a, 16) && rest.empty();
-}
-
-void serialize_task(std::string& out, const measure::PingRecord& ping,
-                    const measure::TraceRecord& trace) {
-  const std::span<const measure::HopRecord> hops{trace.hops};
-  char buffer[kMaxTaskBytes];
-  char* cursor = buffer;
-  CLOUDRTT_CHECK(hops.size() <= 255,
-                 "trace hop list exceeds the codec's u8 hop count");
-  put_raw(cursor, ping.probe->id);
-  put_raw(cursor, region_index(ping.region));
-  put_raw(cursor, static_cast<std::uint8_t>(ping.protocol));
-  put_raw(cursor, ping.slot);
-  put_f64(cursor, ping.rtt_ms);
-  put_raw(cursor, trace.probe->id);
-  put_raw(cursor, region_index(trace.region));
-  put_raw(cursor, static_cast<std::uint8_t>(trace.completed ? 1 : 0));
-  put_raw(cursor, trace.slot);
-  put_raw(cursor, trace.target_ip.value());
-  put_f64(cursor, trace.end_to_end_ms);
-  put_raw(cursor, static_cast<std::uint8_t>(trace.true_mode));
-  put_raw(cursor, static_cast<std::uint8_t>(hops.size()));
-  for (const measure::HopRecord& hop : hops) {
-    put_raw(cursor, hop.ttl);
-    put_raw(cursor, static_cast<std::uint8_t>(hop.responded ? 1 : 0));
-    put_raw(cursor, hop.ip.value());
-    put_f64(cursor, hop.rtt_ms);
-  }
-  out.append(buffer, cursor);
 }
 
 // lint:hot

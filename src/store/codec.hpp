@@ -57,15 +57,10 @@ struct BlockHeader {
 /// that is not a well-formed block header.
 [[nodiscard]] bool parse_block_header(std::string_view line, BlockHeader& out);
 
-/// Serialise one task's ping + trace pair onto `out` from owning records
-/// (tests, adoption of hand-built rows).
-void serialize_task(std::string& out, const measure::PingRecord& ping,
-                    const measure::TraceRecord& trace);
-
-/// Columnar hot path: serialise task `row` (ping row `row` paired with trace
-/// row `row`) straight from the dataset's columns — the cells already hold
-/// the on-disk encoding (probe id, catalog region index), so the spill
-/// worker does no pointer chasing and no binding at all.
+/// Serialise task `row` (ping row `row` paired with trace row `row`) straight
+/// from the dataset's columns — the cells already hold the on-disk encoding
+/// (probe id, catalog region index), so the spill worker does no pointer
+/// chasing and no binding at all.
 void serialize_task(std::string& out, const measure::Dataset& data,
                     std::size_t row);
 

@@ -65,13 +65,14 @@ class IoEnv {
   [[nodiscard]] virtual std::optional<std::uint64_t> file_size(
       const std::filesystem::path& path) const;
 
-  /// Whole-file read; nullopt when missing/unreadable. Never faulted.
+  /// Whole-file read; nullopt when missing/unreadable. Never faulted. The
+  /// store reads only manifests this way; lane files can be tens of MB.
   [[nodiscard]] virtual std::optional<std::string> read_file(
       const std::filesystem::path& path) const;
 
-  /// Sequential binary reader over `path`, for scans that keep one block
-  /// resident at a time (the streamed dataset hash); nullptr when missing or
-  /// unreadable. Never faulted.
+  /// Sequential binary reader over `path`; nullptr when missing or
+  /// unreadable. Never faulted. Every lane read goes through it, one block
+  /// at a time (store::LaneReader).
   [[nodiscard]] virtual std::unique_ptr<std::istream> open_read(
       const std::filesystem::path& path) const;
 };

@@ -1,7 +1,8 @@
 #include "store/salvage.hpp"
 
-#include <algorithm>
 #include <charconv>
+#include <istream>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -9,8 +10,8 @@
 
 #include "obs/metrics.hpp"
 #include "store/codec.hpp"
+#include "store/lane_reader.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace cloudrtt::store {
 
@@ -77,6 +78,11 @@ struct Manifest {
            std::to_string(out.pings) + " vs " + std::to_string(out.traces) +
            ")";
   }
+  if (lane_count > kMaxLanes) {
+    return "manifest claims " + std::to_string(lane_count) +
+           " lanes, more than the " + std::to_string(kMaxLanes) +
+           " a store may have";
+  }
   out.platform = kv["platform"];
   if (kv.contains("fault_profile")) out.fault_profile = kv["fault_profile"];
   out.lanes.resize(lane_count);
@@ -99,110 +105,88 @@ struct Manifest {
   return {};
 }
 
-/// One parsed block, with its rows when a binder was supplied.
-struct ScannedBlock {
-  BlockHeader header;
-  measure::Dataset rows;
-  std::uint64_t bytes = 0;  ///< framed size: header line + payload
-  std::size_t lane = 0;
-};
-
-/// What one lane's file yielded.
+/// What one lane's file yielded: block headers, never rows.
 struct LaneScan {
-  std::vector<ScannedBlock> committed;
-  std::vector<ScannedBlock> tail;
+  std::uint64_t committed_blocks = 0;
+  std::uint64_t committed_tasks = 0;
+  std::vector<Block> tail;
   std::uint64_t dropped_blocks = 0;  ///< valid frame, wrong sequence
   std::uint64_t torn_bytes = 0;      ///< unusable bytes past the last keeper
   std::string error;                 ///< committed-region violation
 };
 
-/// Parse the block starting at `offset`. True on success (offset advanced
-/// past the block); false leaves `why` describing the damage.
-[[nodiscard]] bool next_block(std::string_view text, std::size_t& offset,
-                              const RowBinder* binder, ScannedBlock& out,
-                              std::string& why) {
-  const std::size_t header_end = text.find('\n', offset);
-  if (header_end == std::string_view::npos) {
-    why = "incomplete block header";
-    return false;
-  }
-  if (!parse_block_header(text.substr(offset, header_end - offset),
-                          out.header)) {
-    why = "malformed block header";
-    return false;
-  }
-  const std::size_t payload_begin = header_end + 1;
-  if (out.header.bytes > text.size() - payload_begin) {
-    why = "payload truncated (header claims " +
-          std::to_string(out.header.bytes) + " bytes, " +
-          std::to_string(text.size() - payload_begin) + " remain)";
-    return false;
-  }
-  const std::string_view payload =
-      text.substr(payload_begin, out.header.bytes);
-  if (util::fnv1a_words(payload) != out.header.fnv1a) {
-    why = "payload checksum mismatch (fnv1a)";
-    return false;
-  }
-  if (binder != nullptr) {
-    out.rows.clear_rows();
-    out.rows.bind(binder->sc_fleet(), binder->atlas_fleet());
-    if (std::string parse_error =
-            binder->parse_block(payload, out.header, out.rows);
-        !parse_error.empty()) {
-      why = "unparseable payload: " + parse_error;
-      return false;
-    }
-  }
-  out.bytes = (payload_begin - offset) + out.header.bytes;
-  offset = payload_begin + out.header.bytes;
-  return true;
-}
-
 /// Scan one lane file: strict inside the committed region, salvage beyond.
-[[nodiscard]] LaneScan scan_lane(const std::optional<std::string>& content,
+/// Day D lives only in lane D % L, so a lane's committed blocks must run
+/// through its days in order, each day's tasks contiguous from task 0.
+[[nodiscard]] LaneScan scan_lane(const fs::path& path, IoEnv& io,
                                  const LaneState& durable, std::size_t lane,
-                                 const RowBinder* binder) {
+                                 std::size_t lane_count) {
   LaneScan scan;
-  const std::string text = content.value_or(std::string{});
   const auto lane_label = [&] { return "lane " + std::to_string(lane); };
-  if (!content.has_value() && durable.durable_bytes > 0) {
+  std::unique_ptr<std::istream> in = io.open_read(path);
+  if (in == nullptr && durable.durable_bytes > 0) {
     scan.error = lane_label() + ": shard file missing but manifest commits " +
                  std::to_string(durable.durable_bytes) + " bytes";
     return scan;
   }
-  if (text.size() < durable.durable_bytes) {
-    scan.error = lane_label() + ": shard holds " +
-                 std::to_string(text.size()) + " bytes, manifest commits " +
+  const std::uint64_t size =
+      in == nullptr ? 0 : io.file_size(path).value_or(0);
+  if (size < durable.durable_bytes) {
+    scan.error = lane_label() + ": shard holds " + std::to_string(size) +
+                 " bytes, manifest commits " +
                  std::to_string(durable.durable_bytes);
     return scan;
   }
 
-  std::size_t offset = 0;
-  std::uint64_t expected_seq = 0;
-  while (offset < durable.durable_bytes) {
-    ScannedBlock block;
-    block.lane = lane;
-    std::string why;
-    if (!next_block(text, offset, binder, block, why)) {
+  LaneReader reader{std::move(in), size};
+  Block block;
+  std::string payload;
+  const BlockHeader& header = block.header;
+  std::uint64_t& expected_seq = scan.committed_blocks;
+  std::uint64_t expected_start = 0;
+  while (reader.offset() < durable.durable_bytes) {
+    const std::uint32_t previous_day = header.day;
+    if (std::string why = reader.next(block, payload); !why.empty()) {
       scan.error = lane_label() + ": committed block " +
                    std::to_string(expected_seq) + ": " + why;
       return scan;
     }
-    if (offset > durable.durable_bytes) {
+    if (reader.offset() > durable.durable_bytes) {
       scan.error = lane_label() + ": committed block " +
                    std::to_string(expected_seq) +
                    " straddles the manifest's byte mark";
       return scan;
     }
-    if (block.header.seq != expected_seq) {
+    if (header.seq != expected_seq) {
       scan.error = lane_label() + ": committed block has seq " +
-                   std::to_string(block.header.seq) + ", expected " +
+                   std::to_string(header.seq) + ", expected " +
                    std::to_string(expected_seq);
       return scan;
     }
+    if (header.day % lane_count != lane) {
+      scan.error = "committed block for day " + std::to_string(header.day) +
+                   " sits in lane " + std::to_string(lane) +
+                   ", expected lane " +
+                   std::to_string(header.day % lane_count);
+      return scan;
+    }
+    if (expected_seq > 0 && header.day != previous_day) {
+      if (header.day < previous_day) {
+        scan.error = "committed days out of order";
+        return scan;
+      }
+      expected_start = 0;
+    }
+    if (header.start != expected_start) {
+      scan.error = "day " + std::to_string(header.day) +
+                   " tasks are not contiguous (block starts at " +
+                   std::to_string(header.start) + ", expected " +
+                   std::to_string(expected_start) + ")";
+      return scan;
+    }
+    expected_start += header.tasks;
+    scan.committed_tasks += header.tasks;
     ++expected_seq;
-    scan.committed.push_back(std::move(block));
   }
   if (expected_seq != durable.next_seq) {
     scan.error = lane_label() + ": committed region holds " +
@@ -213,38 +197,24 @@ struct LaneScan {
   }
 
   // Beyond the commit point: keep the longest valid run, count the rest.
-  while (offset < text.size()) {
-    const std::size_t block_start = offset;
-    ScannedBlock block;
-    block.lane = lane;
-    std::string why;
-    if (!next_block(text, offset, binder, block, why)) {
-      scan.torn_bytes = text.size() - block_start;
+  std::uint64_t next_seq = expected_seq;
+  while (!reader.at_end()) {
+    const std::uint64_t block_start = reader.offset();
+    if (!reader.next(block, payload).empty()) {
+      scan.torn_bytes = size - block_start;
       break;
     }
-    if (block.header.seq != expected_seq) {
+    if (header.seq != next_seq) {
       // A duplicated or replayed frame: structurally fine, but it does not
       // continue this lane — everything from here on is unusable.
       ++scan.dropped_blocks;
-      scan.torn_bytes = text.size() - block_start;
+      scan.torn_bytes = size - block_start;
       break;
     }
-    ++expected_seq;
-    scan.tail.push_back(std::move(block));
+    ++next_seq;
+    scan.tail.push_back(block);
   }
   return scan;
-}
-
-/// Sort key for cross-lane assembly: global append order is (day, start).
-[[nodiscard]] bool block_order(const ScannedBlock* a, const ScannedBlock* b) {
-  return a->header.day != b->header.day ? a->header.day < b->header.day
-                                        : a->header.start < b->header.start;
-}
-
-void append_rows(measure::Dataset& out, const ScannedBlock& block) {
-  // Both datasets are bound to the same fleets and block rows never mint
-  // extras codes, so this is a raw column splice.
-  out.append(block.rows);
 }
 
 /// Shared core of open_store and fsck. `binder` null = structural only.
@@ -268,13 +238,10 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
   result.meta.platform = manifest.platform;
   result.meta.seed = manifest.seed;
   result.meta.fault_profile = manifest.fault_profile;
-  if (binder != nullptr) {
-    result.data.bind(binder->sc_fleet(), binder->atlas_fleet());
-  }
 
-  // Lanes are independent on disk, so the scan — the expensive part of a
-  // resume — runs one thread per lane; this is what keeps reopening a
-  // campaign flat-cost as --threads (== lanes) grows.
+  // Lanes are independent on disk, so the validating scan runs one thread
+  // per lane; this is what keeps reopening a campaign flat-cost as
+  // --threads (== lanes) grows.
   const std::size_t lane_count = manifest.lanes.size();
   std::vector<LaneScan> scans(lane_count);
   {
@@ -282,59 +249,22 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     workers.reserve(lane_count);
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
       workers.emplace_back([&, lane] {
-        scans[lane] = scan_lane(io.read_file(store_lane_path(dir, platform, lane)),
-                                manifest.lanes[lane], lane, binder);
+        scans[lane] = scan_lane(store_lane_path(dir, platform, lane), io,
+                                manifest.lanes[lane], lane, lane_count);
       });
     }
     for (std::thread& worker : workers) worker.join();
   }
+  std::uint64_t committed_tasks = 0;
   for (const LaneScan& scan : scans) {
     if (!scan.error.empty()) {
       result.error = "store refused: " + scan.error;
       return result;
     }
-  }
-
-  // Committed region, cross-lane: global order must reassemble into
-  // contiguous per-day task runs whose total matches the manifest.
-  std::vector<ScannedBlock*> committed;
-  for (LaneScan& scan : scans) {
-    for (ScannedBlock& block : scan.committed) committed.push_back(&block);
-  }
-  std::stable_sort(committed.begin(), committed.end(), block_order);
-  std::uint64_t committed_tasks = 0;
-  {
-    std::uint32_t current_day = 0;
-    std::uint64_t expected_start = 0;
-    bool have_day = false;
-    for (const ScannedBlock* block : committed) {
-      const BlockHeader& header = block->header;
-      if (block->lane != header.day % lane_count) {
-        result.error = "store refused: committed block for day " +
-                       std::to_string(header.day) + " sits in lane " +
-                       std::to_string(block->lane) + ", expected lane " +
-                       std::to_string(header.day % lane_count);
-        return result;
-      }
-      if (!have_day || header.day != current_day) {
-        if (have_day && header.day < current_day) {
-          result.error = "store refused: committed days out of order";
-          return result;
-        }
-        current_day = header.day;
-        expected_start = 0;
-        have_day = true;
-      }
-      if (header.start != expected_start) {
-        result.error = "store refused: day " + std::to_string(header.day) +
-                       " tasks are not contiguous (block starts at " +
-                       std::to_string(header.start) + ", expected " +
-                       std::to_string(expected_start) + ")";
-        return result;
-      }
-      expected_start += header.tasks;
-      committed_tasks += header.tasks;
-    }
+    committed_tasks += scan.committed_tasks;
+    result.salvage.committed_blocks += scan.committed_blocks;
+    result.salvage.dropped_blocks += scan.dropped_blocks;
+    result.salvage.truncated_bytes += scan.torn_bytes;
   }
   if (committed_tasks != manifest.pings) {
     result.error = "store refused: shards hold " +
@@ -343,52 +273,49 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
                    std::to_string(manifest.pings);
     return result;
   }
-  result.salvage.committed_blocks = committed.size();
-  for (ScannedBlock* block : committed) append_rows(result.data, *block);
 
-  // The uncommitted tail: adopt the longest chain that continues exactly
-  // where the manifest stopped. Same-day blocks must extend the task run;
-  // a later day may start only at task 0 (appends are globally FIFO, so a
-  // day-N block on disk proves every earlier day finished; empty days
-  // legitimately write nothing). Anything else ends the chain.
-  std::vector<ScannedBlock*> tail;
-  for (LaneScan& scan : scans) {
-    for (ScannedBlock& block : scan.tail) tail.push_back(&block);
-    result.salvage.dropped_blocks += scan.dropped_blocks;
-    result.salvage.truncated_bytes += scan.torn_bytes;
-  }
-  std::stable_sort(tail.begin(), tail.end(), block_order);
+  // The uncommitted tail, merged across lanes in store order: adopt the
+  // longest chain that continues exactly where the manifest stopped.
+  // Same-day blocks must extend the task run; a later day may start only at
+  // task 0 (appends are globally FIFO, so a day-N block on disk proves every
+  // earlier day finished; empty days legitimately write nothing). Anything
+  // else ends the chain, and every tail block not adopted is dropped.
   std::vector<std::uint64_t> adopted_bytes(lane_count, 0);
-  std::vector<std::uint64_t> adopted_blocks(lane_count, 0);
+  std::vector<std::size_t> adopted(lane_count, 0);  ///< tail blocks per lane
   std::uint32_t chain_day = manifest.next_day;
   std::uint64_t chain_start = manifest.day_tasks_done;
   std::uint64_t chain_cursor = manifest.cursor;
-  bool adopted_any = false;
-  std::size_t kept = 0;
-  for (ScannedBlock* block : tail) {
-    const BlockHeader& header = block->header;
+  std::vector<const BlockHeader*> heads(lane_count);
+  for (;;) {
+    for (std::size_t lane = 0; lane < lane_count; ++lane) {
+      const std::vector<Block>& tail = scans[lane].tail;
+      heads[lane] = adopted[lane] < tail.size() ? &tail[adopted[lane]].header
+                                                : nullptr;
+    }
+    const std::size_t lane = earliest_lane(heads);
+    if (lane == lane_count) break;
+    const Block& block = scans[lane].tail[adopted[lane]];
+    const BlockHeader& header = block.header;
     const bool extends_day =
         header.day == chain_day && header.start == chain_start;
     const bool opens_day = header.day > chain_day && header.start == 0;
-    if ((!extends_day && !opens_day) ||
-        block->lane != header.day % lane_count) {
+    if ((!extends_day && !opens_day) || lane != header.day % lane_count) {
       break;
     }
     if (opens_day) chain_day = header.day;
-    chain_start = opens_day ? header.tasks
-                            : chain_start + header.tasks;
+    chain_start = opens_day ? header.tasks : chain_start + header.tasks;
     chain_cursor = header.cursor;
-    adopted_any = true;
-    adopted_bytes[block->lane] += block->bytes;
-    adopted_blocks[block->lane] += 1;
+    adopted_bytes[lane] += block.bytes;
+    ++adopted[lane];
     ++result.salvage.salvaged_blocks;
     result.salvage.salvaged_rows += header.tasks;
-    append_rows(result.data, *block);
-    ++kept;
   }
-  for (std::size_t i = kept; i < tail.size(); ++i) {
-    ++result.salvage.dropped_blocks;
-    result.salvage.truncated_bytes += tail[i]->bytes;
+  for (std::size_t lane = 0; lane < lane_count; ++lane) {
+    const std::vector<Block>& tail = scans[lane].tail;
+    for (std::size_t i = adopted[lane]; i < tail.size(); ++i) {
+      ++result.salvage.dropped_blocks;
+      result.salvage.truncated_bytes += tail[i].bytes;
+    }
   }
 
   result.durable_rows = committed_tasks + result.salvage.salvaged_rows;
@@ -397,18 +324,35 @@ void append_rows(measure::Dataset& out, const ScannedBlock& block) {
     result.lane_states[lane].durable_bytes =
         manifest.lanes[lane].durable_bytes + adopted_bytes[lane];
     result.lane_states[lane].next_seq =
-        manifest.lanes[lane].next_seq + adopted_blocks[lane];
+        manifest.lanes[lane].next_seq + adopted[lane];
   }
-  if (adopted_any) {
-    CLOUDRTT_CHECK(chain_start <= 0xffffffffULL,
-                   "salvaged day task count overflows");
-    result.state.next_day = chain_day;
-    result.state.cursor = static_cast<std::size_t>(chain_cursor);
-    result.state.day_tasks_done = static_cast<std::uint32_t>(chain_start);
-  } else {
-    result.state.next_day = manifest.next_day;
-    result.state.cursor = static_cast<std::size_t>(manifest.cursor);
-    result.state.day_tasks_done = manifest.day_tasks_done;
+  CLOUDRTT_CHECK(chain_start <= 0xffffffffULL,
+                 "salvaged day task count overflows");
+  result.state.next_day = chain_day;
+  result.state.cursor = static_cast<std::size_t>(chain_cursor);
+  result.state.day_tasks_done = static_cast<std::uint32_t>(chain_start);
+
+  // A binding open reads the rows the scan validated, in store order, one
+  // block resident at a time.
+  if (binder != nullptr) {
+    result.data.bind(binder->sc_fleet(), binder->atlas_fleet());
+    StoreScan scan{dir, platform, io, result.lane_states};
+    Block block;
+    std::string payload;
+    while (scan.next(block, payload)) {
+      if (std::string err =
+              binder->parse_block(payload, block.header, result.data);
+          !err.empty()) {
+        result.error = "store refused: lane " + std::to_string(block.lane) +
+                       ": block " + std::to_string(block.header.seq) +
+                       ": unparseable payload: " + err;
+        return result;
+      }
+    }
+    if (!scan.error().empty()) {
+      result.error = "store refused: " + scan.error();
+      return result;
+    }
   }
 
   if (repair && result.salvage.truncated_bytes > 0) {
@@ -512,20 +456,11 @@ FsckReport fsck(const fs::path& dir, std::string_view platform, IoEnv& io) {
     return report;
   }
   report.committed_blocks = opened.salvage.committed_blocks;
-  report.committed_rows = 0;
+  report.committed_rows = opened.durable_rows - opened.salvage.salvaged_rows;
   report.tail_blocks = opened.salvage.salvaged_blocks;
   report.tail_rows = opened.salvage.salvaged_rows;
   report.dropped_blocks = opened.salvage.dropped_blocks;
   report.torn_bytes = opened.salvage.truncated_bytes;
-  // Structural scan skips row binding, so count rows from the manifest.
-  const std::optional<std::string> manifest_text =
-      io.read_file(store_manifest_path(dir, platform));
-  if (manifest_text.has_value()) {
-    Manifest manifest;
-    if (parse_manifest(*manifest_text, platform, manifest).empty()) {
-      report.committed_rows = manifest.pings;
-    }
-  }
   return report;
 }
 

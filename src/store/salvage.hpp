@@ -2,7 +2,8 @@
 // Opening a streaming store: validate what the manifest committed, salvage
 // what the crash left beyond it.
 //
-// The committed region of each lane (the manifest's byte mark) is parsed
+// Lanes are read block by block (store::LaneReader), never whole. The
+// committed region of each lane (the manifest's byte mark) is parsed
 // *strictly* — a shorter file, a straddling or damaged block, a checksum or
 // sequence mismatch there means the commit point itself lied, and the open
 // refuses with a structured error rather than guessing. Bytes beyond the
@@ -10,7 +11,9 @@
 // block by block and adopts the longest prefix that continues the campaign
 // exactly where the manifest stopped (the chain rule in open_store), counts
 // what it had to drop, and — when `repair` is set — truncates each lane back
-// to its last adopted byte so the next append lands on a block boundary.
+// to its last adopted byte so the next append lands on a block boundary. A
+// binding open then decodes the adopted blocks through store::StoreScan,
+// the scan the streamed dataset hash walks too.
 //
 // The resume contract: open_store() + replaying the remainder of the
 // interrupted day from the RNG (the campaign's per-day streams are forked
@@ -79,7 +82,7 @@ inline constexpr int kUnparseableManifest = -1;
 /// Open a format=3 store: strict-validate the committed region, salvage the
 /// tail, rebuild the dataset and resume state. `repair` additionally
 /// truncates torn/dropped tail bytes so a ShardWriter can continue in place;
-/// read-only callers pass false.
+/// read-only callers pass false. Rows that do not bind to the fleets refuse.
 [[nodiscard]] OpenResult open_store(const std::filesystem::path& dir,
                                     std::string_view platform, IoEnv& io,
                                     const probes::ProbeFleet* sc_fleet,
@@ -97,7 +100,7 @@ inline constexpr int kUnparseableManifest = -1;
 
 /// Offline integrity check (`cloudrtt study --fsck`): same validation as
 /// open_store but structural only — no probe fleets, no row binding, never
-/// repairs.
+/// repairs. Row counts come from the block headers the open read.
 struct FsckReport {
   int format = 0;
   std::uint64_t committed_blocks = 0;

@@ -22,7 +22,7 @@ ShardWriter::ShardWriter(fs::path dir, StoreMeta meta, std::size_t lanes,
     : dir_(std::move(dir)),
       meta_(std::move(meta)),
       io_(io),
-      lane_(std::max<std::size_t>(lanes, 1)),
+      lane_(std::clamp<std::size_t>(lanes, 1, kMaxLanes)),
       alloc_seq_(lane_.size(), 0),
       lane_torn_(lane_.size(), 0),
       spill_bytes_(registry().counter(

@@ -68,12 +68,17 @@ struct LaneState {
   std::uint64_t next_seq = 0;
 };
 
+/// Most lanes a store has. The CLI caps --threads (one lane per thread) at
+/// this, the writer clamps to it, and an open refuses a manifest claiming
+/// more: reading a store starts one thread per lane.
+inline constexpr std::size_t kMaxLanes = 256;
+
 class ShardWriter {
  public:
   /// Open the store directory for writing. `fresh` wipes any existing
   /// artefacts for the platform (a non-resume run starts over); a resume
   /// passes false and then restore()s the state open_store() recovered.
-  /// `lanes` is clamped to >= 1 and fixed for the store's lifetime.
+  /// `lanes` is clamped to [1, kMaxLanes] and fixed for the store's lifetime.
   ShardWriter(std::filesystem::path dir, StoreMeta meta, std::size_t lanes,
               IoEnv& io, bool fresh);
 

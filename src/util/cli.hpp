@@ -38,10 +38,11 @@ class ArgParser {
   /// naming the option for anything else ("abc", "3x", "", out of range).
   [[nodiscard]] long get_int(std::string_view name) const;
   /// get_int() for a count stored as T: also rejects, the same way, a value
-  /// below 0 or above T's maximum.
+  /// below 0 or above `max` (T's maximum by default).
   template <std::unsigned_integral T = std::size_t>
-  [[nodiscard]] T get_count(std::string_view name) const {
-    return static_cast<T>(count_up_to(name, std::numeric_limits<T>::max()));
+  [[nodiscard]] T get_count(std::string_view name,
+                            T max = std::numeric_limits<T>::max()) const {
+    return static_cast<T>(count_up_to(name, max));
   }
   [[nodiscard]] bool get_flag(std::string_view name) const;
 

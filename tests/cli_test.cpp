@@ -8,6 +8,7 @@
 #include <string>
 
 #include "fault/plan.hpp"
+#include "store/shard_writer.hpp"
 #include "util/cli.hpp"
 
 namespace cloudrtt::util {
@@ -178,6 +179,34 @@ TEST(StudyCliOptions, FaultAndCheckpointFlagsParse) {
   EXPECT_EQ(parser.get_int("fault-seed"), 99);
   EXPECT_EQ(parser.get("checkpoint-dir"), "/tmp/ck");
   EXPECT_TRUE(parser.get_flag("resume"));
+}
+
+// --threads is read the way cloudrtt_cli.cpp reads it: one store lane per
+// thread, so a value above the lane cap is refused naming the flag.
+TEST(StudyCliOptions, ThreadsAboveTheLaneCapAreRefused) {
+  ArgParser parser{"cloudrtt study", "run the measurement study"};
+  parser.add_option("threads", "1", "worker threads");
+  const std::string at_cap = "--threads=" + std::to_string(store::kMaxLanes);
+  const char* ok_argv[] = {"cloudrtt", at_cap.c_str()};
+  ASSERT_TRUE(parser.parse(2, ok_argv));
+  EXPECT_EQ(parser.get_count<unsigned>("threads", store::kMaxLanes),
+            store::kMaxLanes);
+
+  ArgParser over{"cloudrtt study", "run the measurement study"};
+  over.add_option("threads", "1", "worker threads");
+  const std::string above =
+      "--threads=" + std::to_string(store::kMaxLanes + 1);
+  const char* over_argv[] = {"cloudrtt", above.c_str()};
+  ASSERT_TRUE(over.parse(2, over_argv));
+  try {
+    (void)over.get_count<unsigned>("threads", store::kMaxLanes);
+    FAIL() << "a --threads above the lane cap was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--threads"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(store::kMaxLanes)), std::string::npos)
+        << what;
+  }
 }
 
 TEST(StudyCliOptions, EveryProfileNameRoundTrips) {

@@ -18,6 +18,8 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -171,6 +173,21 @@ void rewind_manifest(const fs::path& dir, std::uint32_t upto_day) {
   return core::dataset_hash(resumed.sc_dataset());
 }
 
+/// The streamed hash of the store in `dir` must equal the in-memory hash of
+/// what open_store reads from it: both walk the store through one reader.
+void expect_streamed_hash_matches_open(const fs::path& dir) {
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  const core::StreamedHashResult streamed =
+      core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
+  ASSERT_TRUE(streamed.ok()) << streamed.error;
+  EXPECT_EQ(streamed.rows, opened.data.pings.size());
+  EXPECT_EQ(core::format_dataset_hash(streamed.hash),
+            core::format_dataset_hash(core::dataset_hash(opened.data)));
+}
+
 TEST(StoreRoundTrip, CompletedStoreReproducesTheDatasetBitExactly) {
   store::IoEnv io;
   const store::OpenResult opened = store::open_store(
@@ -230,6 +247,7 @@ TEST(StoreCorruption, TornTrailerSalvagesWholeBlocksAndReplaysTheRest) {
   EXPECT_TRUE(report.healthy()) << report.error;
   EXPECT_EQ(report.tail_blocks, 1u);
   EXPECT_GT(report.torn_bytes, 0u);
+  expect_streamed_hash_matches_open(dir);
 
   EXPECT_EQ(core::format_dataset_hash(resume_hash(dir)),
             core::format_dataset_hash(baseline().hash));
@@ -252,6 +270,11 @@ TEST(StoreCorruption, BitFlippedCommittedBlockRefusesLoudly) {
   EXPECT_FALSE(opened.ok());
   EXPECT_NE(opened.error.find("checksum"), std::string::npos) << opened.error;
   EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
+  const core::StreamedHashResult streamed =
+      core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
+  EXPECT_FALSE(streamed.ok());
+  EXPECT_NE(streamed.error.find("checksum"), std::string::npos)
+      << streamed.error;
 }
 
 // Corruption matrix case 3 — zero-length shard file under a manifest that
@@ -295,6 +318,7 @@ TEST(StoreCorruption, DuplicatedTailBlockIsDroppedNotDoubleCounted) {
   EXPECT_GE(opened.salvage.dropped_blocks, 1u);
   EXPECT_EQ(opened.salvage.salvaged_blocks, blocks.size() - first_tail);
   EXPECT_GT(opened.salvage.truncated_bytes, 0u);
+  expect_streamed_hash_matches_open(dir);
 
   EXPECT_EQ(core::format_dataset_hash(resume_hash(dir)),
             core::format_dataset_hash(baseline().hash));
@@ -449,34 +473,6 @@ TEST(StoreResume, NonFormat3ManifestRefusesAndLeavesEveryFileUntouched) {
   }
 }
 
-// --spill-dir: shards and manifest land in scratch storage, and a resume
-// off that directory round-trips.
-TEST(StoreSpill, SpillDirHoldsTheStoreAndResumes) {
-  const fs::path ck = fs::path{::testing::TempDir()} / "cloudrtt_store_ck";
-  const fs::path spill = fs::path{::testing::TempDir()} / "cloudrtt_store_spill";
-  fs::remove_all(ck);
-  fs::remove_all(spill);
-  core::Study study{store_config()};
-  core::RunControl control;
-  control.checkpoint_dir = ck.string();
-  control.spill_dir = spill.string();
-  study.run(control);
-  ASSERT_TRUE(study.completed());
-
-  store::IoEnv io;
-  EXPECT_EQ(store::manifest_format(spill, kPlatform, io), 3);
-  EXPECT_TRUE(store::fsck(spill, kPlatform, io).healthy());
-
-  core::Study resumed{store_config()};
-  core::RunControl again;
-  again.checkpoint_dir = ck.string();
-  again.spill_dir = spill.string();
-  again.resume = true;
-  resumed.run(again);
-  ASSERT_TRUE(resumed.completed());
-  EXPECT_EQ(core::dataset_hash(resumed.sc_dataset()), baseline().hash);
-}
-
 // -- streamed dataset hash ----------------------------------------------------
 
 /// Threads of this process right now (Linux: one /proc/self/task entry each).
@@ -489,11 +485,10 @@ TEST(StoreSpill, SpillDirHoldsTheStoreAndResumes) {
   return count;
 }
 
-/// Serves lane files intact on the first sequential open of each path (the
-/// ping pass) and with one payload byte of block `block` flipped on every
-/// later open (the trace pass). Whole-file reads — the structural open's
-/// checksum walk — always see the intact file, so the damage can only
-/// surface in the trace pass.
+/// Serves lane files intact on the first two sequential opens of each path
+/// (the structural open's checksum walk, then the ping pass) and with one
+/// payload byte of block `block` flipped on every later open (the trace
+/// pass), so the damage can only surface in the trace pass.
 class TracePassCorruptingIo final : public store::IoEnv {
  public:
   explicit TracePassCorruptingIo(std::size_t block) : block_(block) {}
@@ -501,7 +496,13 @@ class TracePassCorruptingIo final : public store::IoEnv {
   [[nodiscard]] std::unique_ptr<std::istream> open_read(
       const fs::path& path) const override {
     std::string text = IoEnv::read_file(path).value_or("");
-    if (opens_[path.string()]++ > 0) {
+    int earlier_opens = 0;
+    {
+      // The structural open reads lanes from one thread each.
+      const std::scoped_lock lock{mutex_};
+      earlier_opens = opens_[path.string()]++;
+    }
+    if (earlier_opens > 1) {
       const std::vector<BlockSpan> blocks = index_blocks(path);
       const BlockSpan& target = blocks.at(block_);
       const std::size_t payload = target.offset + target.size -
@@ -513,7 +514,8 @@ class TracePassCorruptingIo final : public store::IoEnv {
 
  private:
   std::size_t block_;
-  mutable std::map<std::string, int> opens_;
+  mutable std::mutex mutex_;
+  mutable std::map<std::string, int> opens_;  // guarded by mutex_
 };
 
 TEST(StreamedHash, MatchesTheInMemoryHashAtAnyWorkerCount) {
@@ -581,6 +583,71 @@ TEST(StreamedHash, MultiLaneStoreHashesLikeTheInMemoryDataset) {
               core::format_dataset_hash(in_memory))
         << workers << " workers";
   }
+  fs::remove_all(dir);
+}
+
+// -- the one reader --------------------------------------------------------
+
+/// Fails the test whenever a lane file is read whole: lanes are read block
+/// by block through open_read, read_file is for manifests.
+class NoWholeLaneReadsIo final : public store::IoEnv {
+ public:
+  [[nodiscard]] std::optional<std::string> read_file(
+      const fs::path& path) const override {
+    EXPECT_NE(path.extension(), ".shard") << "read whole: " << path;
+    return IoEnv::read_file(path);
+  }
+};
+
+TEST(StoreOpen, NeverReadsALaneFileWhole) {
+  NoWholeLaneReadsIo io;
+  const fs::path& dir = baseline().dir;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/false);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  const store::OpenResult structural =
+      store::open_store_structural(dir, kPlatform, io, /*repair=*/false);
+  ASSERT_TRUE(structural.ok()) << structural.error;
+  EXPECT_EQ(structural.durable_rows, opened.data.pings.size());
+  const store::FsckReport report = store::fsck(dir, kPlatform, io);
+  EXPECT_TRUE(report.healthy()) << report.error;
+  EXPECT_EQ(report.committed_rows, opened.data.pings.size());
+  const core::StreamedHashResult streamed =
+      core::streamed_dataset_hash(dir, kPlatform, io, fleet(), nullptr);
+  ASSERT_TRUE(streamed.ok()) << streamed.error;
+  EXPECT_EQ(streamed.hash, baseline().hash);
+}
+
+// Opening a store starts one thread per lane, and the lane count comes from
+// disk: a manifest claiming more lanes than a store may have is refused
+// before any lane is read. Every lane entry is present, so without the cap
+// the manifest would parse and the open would start that many threads.
+TEST(StoreOpen, ManifestClaimingMoreThanTheLaneCapRefuses) {
+  const fs::path dir =
+      fs::path{::testing::TempDir()} / "cloudrtt_store_lanes_cap";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::size_t lanes = store::kMaxLanes + 1;
+  std::string manifest = "format=3\nplatform=" + std::string{kPlatform} +
+                         "\nseed=" + std::to_string(kSeed) +
+                         "\nfault_profile=none\nlanes=" +
+                         std::to_string(lanes) +
+                         "\nnext_day=0\ncursor=0\nday_tasks_done=0\n"
+                         "pings=0\ntraces=0\n";
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    manifest += "lane" + std::to_string(lane) + "=0:0\n";
+  }
+  write_file(store::store_manifest_path(dir, kPlatform), manifest);
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store_structural(dir, kPlatform, io, /*repair=*/false);
+  EXPECT_FALSE(opened.ok());
+  EXPECT_NE(opened.error.find("lanes"), std::string::npos) << opened.error;
+  EXPECT_NE(opened.error.find(std::to_string(store::kMaxLanes)),
+            std::string::npos)
+      << opened.error;
+  EXPECT_FALSE(store::fsck(dir, kPlatform, io).healthy());
   fs::remove_all(dir);
 }
 

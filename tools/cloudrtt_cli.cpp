@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/resolve.hpp"
@@ -268,8 +269,10 @@ int cmd_study(int argc, const char* const* argv,
   args.add_option("days", "10", "campaign days");
   args.add_option("budget", "", "daily task budget (overrides --scale; "
                                 "default 15000)");
-  args.add_option("threads", "1", "worker threads for campaign execution "
-                                  "(any value yields identical datasets)");
+  args.add_option("threads", "1",
+                  "worker threads for campaign execution, at most " +
+                      std::to_string(store::kMaxLanes) +
+                      " (any value yields identical datasets)");
   args.add_option("out", "cloudrtt-out", "output directory");
   args.add_option("log-level", "", "trace|debug|info|warn|error|off "
                                    "(default: CLOUDRTT_LOG or info)");
@@ -290,8 +293,6 @@ int cmd_study(int argc, const char* const* argv,
   args.add_option("checkpoint-dir", "", "snapshot the campaign after every "
                                         "day into this directory (format=3 "
                                         "streaming store)");
-  args.add_option("spill-dir", "", "stream shard files into this directory "
-                                   "instead of --checkpoint-dir");
   args.add_flag("resume", "resume from --checkpoint-dir if a checkpoint "
                           "exists, salvaging any crash-torn shard tail");
   args.add_flag("stream", "stream each day to the store and drop it from "
@@ -330,7 +331,8 @@ int cmd_study(int argc, const char* const* argv,
   if (!args.get("budget").empty()) {
     config.sc_campaign.daily_budget = args.get_count("budget");
   }
-  if (const unsigned threads = args.get_count<unsigned>("threads");
+  if (const auto threads =
+          args.get_count<unsigned>("threads", store::kMaxLanes);
       threads > 0) {
     config.threads = threads;
   }
@@ -354,7 +356,6 @@ int cmd_study(int argc, const char* const* argv,
 
   core::RunControl control;
   control.checkpoint_dir = args.get("checkpoint-dir");
-  control.spill_dir = args.get("spill-dir");
   control.resume = args.get_flag("resume");
   control.stream = args.get_flag("stream");
   if (control.resume && control.checkpoint_dir.empty()) {
@@ -375,8 +376,7 @@ int cmd_study(int argc, const char* const* argv,
       std::cerr << "--fsck needs --checkpoint-dir\n";
       return 1;
     }
-    const std::filesystem::path store_dir =
-        control.spill_dir.empty() ? control.checkpoint_dir : control.spill_dir;
+    const std::filesystem::path store_dir{control.checkpoint_dir};
     store::IoEnv io;
     bool found = false;
     bool healthy = true;
@@ -460,9 +460,7 @@ int cmd_study(int argc, const char* const* argv,
     if (!args.get_flag("quiet")) print_observability_summary();
     return 1;
   }
-  const std::filesystem::path store_dir =
-      control.spill_dir.empty() ? std::filesystem::path{control.checkpoint_dir}
-                                : std::filesystem::path{control.spill_dir};
+  const std::filesystem::path store_dir{control.checkpoint_dir};
   if (control.stream && study.completed()) {
     // The rows live only in the store; report what is durably on disk.
     store::IoEnv io;
