@@ -2,7 +2,9 @@
 // Experiment drivers: one function per table/figure of the paper. Each
 // returns structured rows so bench harnesses can print them and integration
 // tests can assert the paper's qualitative findings on them. The per-exhibit
-// mapping lives in DESIGN.md §3.
+// mapping lives in DESIGN.md §3. Exhibits read the traceroute annotation
+// and the nearest-DC indexes from the view's derived facts (facts.hpp); one
+// called on a view without them derives its own.
 
 #include <array>
 #include <optional>

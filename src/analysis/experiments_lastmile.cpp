@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "analysis/nearest.hpp"
+#include "analysis/facts.hpp"
 
 namespace cloudrtt::analysis {
 
@@ -29,24 +29,25 @@ void push_bucketed(Buckets& buckets, LastMileCategory category,
   per_continent[kGlobalIndex].push_back(value);
 }
 
-void accumulate_lastmile(const StudyView& view, const measure::Dataset& data,
+void accumulate_lastmile(const measure::Dataset& data, const DatasetFacts& facts,
                          bool is_atlas, bool nearest_only, LastMileStats& stats) {
   // For Fig. 19 we need each probe's nearest DC (within its continent).
   std::unordered_map<const probes::Probe*, const cloud::RegionInfo*> nearest_of;
   if (nearest_only) {
-    const NearestIndex index{data};
+    const NearestIndex& index = facts.nearest;
     for (const probes::Probe* probe : index.probes()) {
       nearest_of.emplace(probe, index.nearest(probe, probe->country->continent));
     }
   }
 
-  for (const measure::TraceRef& trace : data.traces) {
+  for (std::size_t row = 0; row < data.traces.size(); ++row) {
+    const measure::TraceRef trace = data.traces[row];
     if (!trace.completed || trace.end_to_end_ms <= 0.0) continue;
     if (nearest_only) {
       const auto it = nearest_of.find(trace.probe);
       if (it == nearest_of.end() || it->second != trace.region) continue;
     }
-    const LastMileObservation obs = infer_last_mile(trace, *view.resolver);
+    const LastMileObservation& obs = facts.traces[row].last_mile;
     if (!obs.valid) continue;
     const geo::Continent continent = trace.probe->country->continent;
     const double share =
@@ -96,11 +97,12 @@ struct ProbeLastMile {
 /// differ between two same-seed runs.
 std::vector<std::pair<const probes::Probe*, ProbeLastMile>> collect_per_probe(
     const StudyView& view) {
+  const FactsRef facts{view};
   std::unordered_map<const probes::Probe*, ProbeLastMile> accumulator;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const LastMileObservation obs = infer_last_mile(trace, *view.resolver);
+  for (std::size_t row = 0; row < view.sc_data->traces.size(); ++row) {
+    const LastMileObservation& obs = facts->sc.traces[row].last_mile;
     if (!obs.valid) continue;
-    ProbeLastMile& entry = accumulator[trace.probe];
+    ProbeLastMile& entry = accumulator[view.sc_data->traces[row].probe];
     entry.samples.push_back(obs.usr_isp_ms);
     if (obs.access == AccessClass::Home) {
       ++entry.home_votes;
@@ -124,11 +126,13 @@ constexpr std::size_t kMinCvSamples = 10;  ///< the paper's >=10-sample rule
 }  // namespace
 
 LastMileStats lastmile_stats(const StudyView& view, bool nearest_only) {
+  const FactsRef facts{view};
   LastMileStats stats;
-  accumulate_lastmile(view, *view.sc_data, /*is_atlas=*/false, nearest_only, stats);
+  accumulate_lastmile(*view.sc_data, facts->sc, /*is_atlas=*/false,
+                      nearest_only, stats);
   if (view.has_atlas()) {
-    accumulate_lastmile(view, *view.atlas_data, /*is_atlas=*/true, nearest_only,
-                        stats);
+    accumulate_lastmile(*view.atlas_data, *facts->atlas, /*is_atlas=*/true,
+                        nearest_only, stats);
   }
   return stats;
 }

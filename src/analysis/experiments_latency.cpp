@@ -3,20 +3,9 @@
 #include <unordered_map>
 
 #include "analysis/experiments.hpp"
-#include "analysis/nearest.hpp"
+#include "analysis/facts.hpp"
 
 namespace cloudrtt::analysis {
-
-namespace {
-
-/// Experiments rebuild the index on demand; construction is a single linear
-/// pass over the pings, which keeps the functions self-contained and safe
-/// when several studies live in one process (tests).
-[[nodiscard]] NearestIndex nearest_index_for(const measure::Dataset& data) {
-  return NearestIndex{data};
-}
-
-}  // namespace
 
 std::string_view latency_bucket(double median_ms) {
   if (median_ms < 30.0) return "<30";
@@ -27,7 +16,8 @@ std::string_view latency_bucket(double median_ms) {
 }
 
 std::vector<CountryLatencyRow> fig3_country_latency(const StudyView& view) {
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+  const FactsRef facts{view};
+  const NearestIndex& index = facts->sc.nearest;
   std::map<std::string_view, std::vector<double>> per_country;
   std::unordered_map<std::string_view, const geo::CountryInfo*> infos;
   for (const probes::Probe* probe : index.probes()) {
@@ -54,7 +44,8 @@ std::vector<CountryLatencyRow> fig3_country_latency(const StudyView& view) {
 }
 
 std::vector<util::Series> fig4_continent_rtt(const StudyView& view) {
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+  const FactsRef facts{view};
+  const NearestIndex& index = facts->sc.nearest;
   std::vector<util::Series> series;
   for (const geo::Continent c : geo::kAllContinents) {
     series.push_back(util::Series{std::string{geo::to_code(c)}, {}});
@@ -85,8 +76,9 @@ std::vector<double> quantile_differences(std::vector<double> a, std::vector<doub
 std::vector<util::Series> fig5_platform_diff(const StudyView& view) {
   std::vector<util::Series> series;
   if (!view.has_atlas()) return series;
-  const NearestIndex& sc = nearest_index_for(*view.sc_data);
-  const NearestIndex& atlas = nearest_index_for(*view.atlas_data);
+  const FactsRef facts{view};
+  const NearestIndex& sc = facts->sc.nearest;
+  const NearestIndex& atlas = facts->atlas->nearest;
 
   std::array<std::vector<double>, geo::kContinentCount> sc_samples;
   std::array<std::vector<double>, geo::kContinentCount> atlas_samples;
@@ -126,7 +118,8 @@ std::vector<InterContinentalCell> fig6_intercontinental(const StudyView& view,
     targets = {geo::Continent::NorthAmerica, geo::Continent::SouthAmerica};
   }
 
-  const NearestIndex& index = nearest_index_for(*view.sc_data);
+  const FactsRef facts{view};
+  const NearestIndex& index = facts->sc.nearest;
   std::vector<InterContinentalCell> cells;
   for (const std::string_view country : countries) {
     for (const geo::Continent dst : targets) {
@@ -174,29 +167,25 @@ std::vector<ProtocolCompareRow> fig15_protocols(const StudyView& view) {
 std::vector<util::Series> fig16_city_asn_diff(const StudyView& view) {
   std::vector<util::Series> series;
   if (!view.has_atlas()) return series;
-  const NearestIndex& sc = nearest_index_for(*view.sc_data);
-  const NearestIndex& atlas = nearest_index_for(*view.atlas_data);
+  const FactsRef facts{view};
+  const NearestIndex& sc = facts->sc.nearest;
+  const NearestIndex& atlas = facts->atlas->nearest;
 
   // First-hop ASN per probe, inferred from its traceroutes (the paper's
-  // <city, ASN> key). One trace per probe suffices: the serving ISP is
-  // stable.
-  const auto first_hop_asn =
-      [&](const measure::Dataset& data) {
-        std::unordered_map<const probes::Probe*, topology::Asn> out;
-        for (const measure::TraceRef& trace : data.traces) {
-          if (out.contains(trace.probe)) continue;
-          for (const measure::HopRecord& hop : trace.hops) {
-            if (!hop.responded || net::is_private(hop.ip)) continue;
-            if (const auto res = view.resolver->resolve(hop.ip)) {
-              out.emplace(trace.probe, res->asn);
-            }
-            break;
-          }
-        }
-        return out;
-      };
-  const auto sc_asn = first_hop_asn(*view.sc_data);
-  const auto atlas_asn = first_hop_asn(*view.atlas_data);
+  // <city, ASN> key): the first trace whose first public hop resolved. One
+  // trace per probe suffices: the serving ISP is stable.
+  const auto first_hop_asn = [](const measure::Dataset& data,
+                                const DatasetFacts& derived) {
+    std::unordered_map<const probes::Probe*, topology::Asn> out;
+    for (std::size_t row = 0; row < data.traces.size(); ++row) {
+      const std::optional<topology::Asn>& asn =
+          derived.traces[row].first_public_asn;
+      if (asn) out.try_emplace(data.traces[row].probe, *asn);
+    }
+    return out;
+  };
+  const auto sc_asn = first_hop_asn(*view.sc_data, facts->sc);
+  const auto atlas_asn = first_hop_asn(*view.atlas_data, *facts->atlas);
 
   // Bucket samples by <city, ASN> per platform.
   using Key = std::pair<std::string_view, topology::Asn>;
@@ -250,17 +239,15 @@ MethodologyStats sec33_stats(const StudyView& view) {
     ++counts[geo::index_of(ping.probe->country->continent)];
     if (ping.protocol == measure::Protocol::Tcp) tcp.push_back(ping.rtt_ms);
   }
+  const FactsRef facts{view};
   std::size_t whois_hops = 0;
   std::size_t resolved_hops = 0;
+  for (const TraceFacts& trace : facts->sc.traces) {
+    resolved_hops += trace.resolved_hops;
+    whois_hops += trace.whois_hops;
+  }
   for (const measure::TraceRef& trace : view.sc_data->traces) {
     if (trace.completed) icmp.push_back(trace.end_to_end_ms);
-    for (const measure::HopRecord& hop : trace.hops) {
-      if (!hop.responded) continue;
-      if (const auto res = view.resolver->resolve(hop.ip)) {
-        ++resolved_hops;
-        if (res->source == ResolutionSource::Whois) ++whois_hops;
-      }
-    }
   }
   const double total = static_cast<double>(stats.ping_count);
   for (std::size_t i = 0; i < geo::kContinentCount; ++i) {

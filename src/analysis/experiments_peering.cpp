@@ -2,6 +2,7 @@
 #include <unordered_map>
 
 #include "analysis/experiments.hpp"
+#include "analysis/facts.hpp"
 
 namespace cloudrtt::analysis {
 
@@ -47,12 +48,13 @@ struct ModeCounts {
 }  // namespace
 
 std::vector<InterconnectShareRow> fig10_interconnect_share(const StudyView& view) {
+  const FactsRef facts{view};
   std::array<ModeCounts, cloud::kPeeringFigureProviders.size()> counts;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const InterconnectObservation obs =
-        classify_interconnect(trace, *view.resolver);
+  for (std::size_t row = 0; row < view.sc_data->traces.size(); ++row) {
+    const InterconnectObservation& obs = facts->sc.traces[row].interconnect;
     if (!obs.valid) continue;
-    const std::size_t column = figure_column(trace.region->provider);
+    const std::size_t column =
+        figure_column(view.sc_data->traces[row].region->provider);
     if (column >= counts.size()) continue;
     counts[column].add(obs.mode);
   }
@@ -90,9 +92,11 @@ std::vector<PervasivenessRow> fig11_pervasiveness(const StudyView& view) {
   std::array<std::array<std::vector<double>, geo::kContinentCount>,
              cloud::kPeeringFigureProviders.size()>
       values;
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
-    const auto ratio = pervasiveness(trace, *view.resolver);
+  const FactsRef facts{view};
+  for (std::size_t row = 0; row < view.sc_data->traces.size(); ++row) {
+    const std::optional<double>& ratio = facts->sc.traces[row].pervasiveness;
     if (!ratio) continue;
+    const measure::TraceRef trace = view.sc_data->traces[row];
     const std::size_t column = figure_column(trace.region->provider);
     if (column >= values.size()) continue;
     values[column][geo::index_of(trace.probe->country->continent)].push_back(
@@ -136,11 +140,12 @@ PeeringCaseStudy peering_case_study(const StudyView& view,
   std::array<std::vector<double>, 9> direct_latency;
   std::array<std::vector<double>, 9> intermediate_latency;
 
-  for (const measure::TraceRef& trace : view.sc_data->traces) {
+  const FactsRef facts{view};
+  for (std::size_t row = 0; row < view.sc_data->traces.size(); ++row) {
+    const measure::TraceRef trace = view.sc_data->traces[row];
     if (trace.probe->country->code != src_country) continue;
     if (trace.region->country != dst_country) continue;
-    const InterconnectObservation obs =
-        classify_interconnect(trace, *view.resolver);
+    const InterconnectObservation& obs = facts->sc.traces[row].interconnect;
     if (!obs.valid) continue;
     const std::size_t column = figure_column(trace.region->provider);
     if (column >= 9) continue;

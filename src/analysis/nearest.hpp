@@ -16,6 +16,7 @@ namespace cloudrtt::analysis {
 
 class NearestIndex {
  public:
+  NearestIndex() = default;  ///< empty: no probe has samples
   explicit NearestIndex(const measure::Dataset& data);
 
   /// Region with lowest mean RTT for this probe, optionally restricted to a

@@ -6,8 +6,7 @@ namespace cloudrtt::analysis {
 
 namespace {
 
-/// Resolver counters, resolved once: resolve() runs for every traceroute hop
-/// of every analysis, so no per-call Registry lookups.
+/// Resolver counters, resolved once: no per-fold Registry lookups.
 struct ResolveMetrics {
   obs::Counter& lookups;
   obs::Counter& misses;
@@ -28,6 +27,22 @@ struct ResolveMetrics {
 };
 
 }  // namespace
+
+ResolveTally& ResolveTally::operator+=(const ResolveTally& other) {
+  lookups += other.lookups;
+  misses += other.misses;
+  whois_fallbacks += other.whois_fallbacks;
+  ixp_hits += other.ixp_hits;
+  return *this;
+}
+
+void ResolveTally::fold() const {
+  ResolveMetrics& metrics = ResolveMetrics::instance();
+  if (lookups != 0) metrics.lookups.inc(lookups);
+  if (misses != 0) metrics.misses.inc(misses);
+  if (whois_fallbacks != 0) metrics.whois_fallbacks.inc(whois_fallbacks);
+  if (ixp_hits != 0) metrics.ixp_hits.inc(ixp_hits);
+}
 
 IpToAsn IpToAsn::from_world(const topology::World& world) {
   IpToAsn resolver;
@@ -56,25 +71,32 @@ void IpToAsn::add_ixp(const net::Ipv4Prefix& prefix, topology::Asn asn) {
   ixp_asns_.insert(asn);
 }
 
-std::optional<Resolution> IpToAsn::resolve(net::Ipv4Address addr) const {
-  ResolveMetrics& metrics = ResolveMetrics::instance();
-  metrics.lookups.inc();
+std::optional<Resolution> IpToAsn::resolve(net::Ipv4Address addr,
+                                           ResolveTally& tally) const {
+  ++tally.lookups;
   if (net::is_private(addr)) return std::nullopt;
   // IXP peering LANs are checked first: they are deliberately absent from
   // the RIB (CAIDA-style tagging).
   if (const auto ixp = ixp_.lookup(addr)) {
-    metrics.ixp_hits.inc();
+    ++tally.ixp_hits;
     return Resolution{*ixp, ResolutionSource::Rib, true};
   }
   if (const auto asn = rib_.lookup(addr)) {
     return Resolution{*asn, ResolutionSource::Rib, false};
   }
   if (const auto asn = whois_.lookup(addr)) {
-    metrics.whois_fallbacks.inc();
+    ++tally.whois_fallbacks;
     return Resolution{*asn, ResolutionSource::Whois, false};
   }
-  metrics.misses.inc();
+  ++tally.misses;
   return std::nullopt;
+}
+
+std::optional<Resolution> IpToAsn::resolve(net::Ipv4Address addr) const {
+  ResolveTally tally;
+  const std::optional<Resolution> res = resolve(addr, tally);
+  tally.fold();
+  return res;
 }
 
 }  // namespace cloudrtt::analysis

@@ -7,6 +7,7 @@
 // Analysis code resolves every traceroute hop through this class; it never
 // reads ground truth off the simulator.
 
+#include <cstdint>
 #include <optional>
 #include <unordered_set>
 
@@ -25,6 +26,20 @@ struct Resolution {
   bool is_ixp = false;
 };
 
+/// The resolve.* counters as one thread tallies them. A pass that resolves
+/// many addresses keeps one tally per worker and folds their sum into the
+/// global registry once, instead of ticking shared atomics on every call.
+struct ResolveTally {
+  std::uint64_t lookups = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t whois_fallbacks = 0;
+  std::uint64_t ixp_hits = 0;
+
+  ResolveTally& operator+=(const ResolveTally& other);
+  /// Add this tally to the global resolve.* counters.
+  void fold() const;
+};
+
 class IpToAsn {
  public:
   IpToAsn() = default;
@@ -38,7 +53,10 @@ class IpToAsn {
   void add_ixp(const net::Ipv4Prefix& prefix, topology::Asn asn);
 
   /// Longest-prefix match over the RIB, falling back to whois; nullopt for
-  /// private space and unknown addresses.
+  /// private space and unknown addresses. Counts into `tally`.
+  [[nodiscard]] std::optional<Resolution> resolve(net::Ipv4Address addr,
+                                                  ResolveTally& tally) const;
+  /// The same, folded into the global resolve.* counters at once.
   [[nodiscard]] std::optional<Resolution> resolve(net::Ipv4Address addr) const;
 
   [[nodiscard]] bool is_ixp_asn(topology::Asn asn) const {

@@ -2,7 +2,7 @@
 // StudyView: the bundle every experiment function consumes — the world's
 // public data products, both probe fleets, both datasets and the shared
 // IP->ASN resolver. core::Study produces one of these after running the
-// campaigns.
+// campaigns; the report attaches the facts it derived once (facts.hpp).
 
 #include "analysis/resolve.hpp"
 #include "measure/records.hpp"
@@ -11,6 +11,8 @@
 
 namespace cloudrtt::analysis {
 
+struct StudyFacts;
+
 struct StudyView {
   const topology::World* world = nullptr;
   const probes::ProbeFleet* sc_fleet = nullptr;
@@ -18,6 +20,9 @@ struct StudyView {
   const probes::ProbeFleet* atlas_fleet = nullptr;  ///< may be null
   const measure::Dataset* atlas_data = nullptr;     ///< may be null
   const IpToAsn* resolver = nullptr;
+  /// Facts already derived from these datasets; null: each exhibit derives
+  /// its own.
+  const StudyFacts* facts = nullptr;
 
   [[nodiscard]] bool has_atlas() const {
     return atlas_fleet != nullptr && atlas_data != nullptr;

@@ -19,12 +19,40 @@ AsPath as_level_path(const measure::TraceRef& trace, const IpToAsn& resolver) {
   return path;
 }
 
-InterconnectObservation classify_interconnect(const measure::TraceRef& trace,
+ResolvedTrace resolve_trace(const measure::TraceRef& trace,
+                            const IpToAsn& resolver, ResolveTally& tally,
+                            std::vector<std::optional<Resolution>>& hop_asns) {
+  hop_asns.assign(trace.hops.size(), std::nullopt);
+  for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+    if (trace.hops[i].responded) {
+      hop_asns[i] = resolver.resolve(trace.hops[i].ip, tally);
+    }
+  }
+  return ResolvedTrace{trace.hops, hop_asns,
+                       resolver.resolve(trace.target_ip, tally)};
+}
+
+namespace {
+
+/// The TraceRef overloads: resolve this one trace, fold its lookups into the
+/// global counters, and run the classifier on the resolution.
+template <typename Classify>
+[[nodiscard]] auto on_resolved(const measure::TraceRef& trace,
+                               const IpToAsn& resolver, Classify&& classify) {
+  ResolveTally tally;
+  std::vector<std::optional<Resolution>> hop_asns;
+  const ResolvedTrace resolved = resolve_trace(trace, resolver, tally, hop_asns);
+  tally.fold();
+  return classify(resolved);
+}
+
+}  // namespace
+
+InterconnectObservation classify_interconnect(const ResolvedTrace& trace,
                                               const IpToAsn& resolver) {
   InterconnectObservation out;
-  const auto target = resolver.resolve(trace.target_ip);
-  if (!target) return out;
-  out.cloud_asn = target->asn;
+  if (!trace.target) return out;
+  out.cloud_asn = trace.target->asn;
 
   // Ordered, collapsed AS path with IXP hops tagged.
   struct Entry {
@@ -32,9 +60,7 @@ InterconnectObservation classify_interconnect(const measure::TraceRef& trace,
     bool ixp;
   };
   std::vector<Entry> path;
-  for (const measure::HopRecord& hop : trace.hops) {
-    if (!hop.responded) continue;
-    const auto res = resolver.resolve(hop.ip);
+  for (const std::optional<Resolution>& res : trace.hop_asns) {
     if (!res) continue;
     if (path.empty() || path.back().asn != res->asn) {
       path.push_back(Entry{res->asn, res->is_ixp});
@@ -90,29 +116,28 @@ InterconnectObservation classify_interconnect(const measure::TraceRef& trace,
   return out;
 }
 
-LastMileObservation infer_last_mile(const measure::TraceRef& trace,
-                                    const IpToAsn& resolver) {
+InterconnectObservation classify_interconnect(const measure::TraceRef& trace,
+                                              const IpToAsn& resolver) {
+  return on_resolved(trace, resolver, [&](const ResolvedTrace& resolved) {
+    return classify_interconnect(resolved, resolver);
+  });
+}
+
+LastMileObservation infer_last_mile(const ResolvedTrace& trace) {
   LastMileObservation out;
   bool saw_private = false;
   std::optional<double> first_private_rtt;
-  bool first_hop_examined = false;
 
-  for (const measure::HopRecord& hop : trace.hops) {
-    if (!hop.responded) {
-      first_hop_examined = true;
-      continue;
-    }
+  for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+    const measure::HopRecord& hop = trace.hops[i];
+    if (!hop.responded) continue;
     if (net::is_private(hop.ip)) {
       if (!saw_private) first_private_rtt = hop.rtt_ms;
       saw_private = true;
-      first_hop_examined = true;
       continue;
     }
     // First public hop: must belong to some AS to anchor the ISP ingress.
-    if (!resolver.resolve(hop.ip)) {
-      first_hop_examined = true;
-      continue;
-    }
+    if (!trace.hop_asns[i]) continue;
     out.valid = true;
     out.usr_isp_ms = hop.rtt_ms;
     out.access = saw_private ? AccessClass::Home : AccessClass::Cell;
@@ -121,25 +146,34 @@ LastMileObservation infer_last_mile(const measure::TraceRef& trace,
     }
     return out;
   }
-  (void)first_hop_examined;
   return out;  // nothing usable responded
+}
+
+LastMileObservation infer_last_mile(const measure::TraceRef& trace,
+                                    const IpToAsn& resolver) {
+  return on_resolved(trace, resolver, [](const ResolvedTrace& resolved) {
+    return infer_last_mile(resolved);
+  });
+}
+
+std::optional<double> pervasiveness(const ResolvedTrace& trace) {
+  if (!trace.target) return std::nullopt;
+  std::size_t resolved = 0;
+  std::size_t cloud_owned = 0;
+  for (const std::optional<Resolution>& res : trace.hop_asns) {
+    if (!res) continue;
+    ++resolved;
+    if (res->asn == trace.target->asn) ++cloud_owned;
+  }
+  if (resolved < 3) return std::nullopt;
+  return static_cast<double>(cloud_owned) / static_cast<double>(resolved);
 }
 
 std::optional<double> pervasiveness(const measure::TraceRef& trace,
                                     const IpToAsn& resolver) {
-  const auto target = resolver.resolve(trace.target_ip);
-  if (!target) return std::nullopt;
-  std::size_t resolved = 0;
-  std::size_t cloud_owned = 0;
-  for (const measure::HopRecord& hop : trace.hops) {
-    if (!hop.responded) continue;
-    const auto res = resolver.resolve(hop.ip);
-    if (!res) continue;
-    ++resolved;
-    if (res->asn == target->asn) ++cloud_owned;
-  }
-  if (resolved < 3) return std::nullopt;
-  return static_cast<double>(cloud_owned) / static_cast<double>(resolved);
+  return on_resolved(trace, resolver, [](const ResolvedTrace& resolved) {
+    return pervasiveness(resolved);
+  });
 }
 
 }  // namespace cloudrtt::analysis

@@ -5,8 +5,14 @@
 // IpToAsn resolver, so the pipeline inherits the same artefacts the paper
 // discusses (invisible IXP hops, unresponsive routers, CGN-confused
 // home/cell classification).
+//
+// Each classifier has one implementation over a ResolvedTrace, a trace whose
+// addresses were resolved once; the report's facts pass (analysis/facts.hpp)
+// runs all of them on one resolution. The TraceRef overloads resolve the
+// trace themselves and call that same implementation.
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/resolve.hpp"
@@ -25,6 +31,22 @@ struct AsPath {
 [[nodiscard]] AsPath as_level_path(const measure::TraceRef& trace,
                                    const IpToAsn& resolver);
 
+/// One trace after resolution: every responded hop and the target looked up
+/// once. `hop_asns[i]` belongs to `hops[i]` and is nullopt when that hop did
+/// not respond or resolved to nothing (private or unknown space).
+struct ResolvedTrace {
+  std::span<const measure::HopRecord> hops;
+  std::span<const std::optional<Resolution>> hop_asns;
+  std::optional<Resolution> target;
+};
+
+/// Resolve `trace`'s responded hops and its target, one lookup each,
+/// counting into `tally`. The hop resolutions land in `hop_asns` (resized to
+/// the hop count), which the returned view borrows.
+[[nodiscard]] ResolvedTrace resolve_trace(
+    const measure::TraceRef& trace, const IpToAsn& resolver,
+    ResolveTally& tally, std::vector<std::optional<Resolution>>& hop_asns);
+
 /// Result of classifying the ISP->cloud interconnection of one trace.
 struct InterconnectObservation {
   bool valid = false;               ///< ISP and cloud AS both visible
@@ -35,8 +57,10 @@ struct InterconnectObservation {
   topology::Asn cloud_asn = 0;
 };
 
-/// Classify per §6.1: resolve hops, tag-and-remove IXPs, count the distinct
-/// intermediate ASes between the serving ISP and the cloud WAN.
+/// Classify per §6.1: tag-and-remove IXPs, count the distinct intermediate
+/// ASes between the serving ISP and the cloud WAN.
+[[nodiscard]] InterconnectObservation classify_interconnect(
+    const ResolvedTrace& trace, const IpToAsn& resolver);
 [[nodiscard]] InterconnectObservation classify_interconnect(
     const measure::TraceRef& trace, const IpToAsn& resolver);
 
@@ -52,11 +76,13 @@ struct LastMileObservation {
   std::optional<double> rtr_isp_ms;
 };
 
+[[nodiscard]] LastMileObservation infer_last_mile(const ResolvedTrace& trace);
 [[nodiscard]] LastMileObservation infer_last_mile(const measure::TraceRef& trace,
                                                   const IpToAsn& resolver);
 
 /// Share of responded+resolved routers owned by the *target* cloud AS
 /// (Fig. 11); nullopt when the trace resolves too poorly to say.
+[[nodiscard]] std::optional<double> pervasiveness(const ResolvedTrace& trace);
 [[nodiscard]] std::optional<double> pervasiveness(const measure::TraceRef& trace,
                                                   const IpToAsn& resolver);
 

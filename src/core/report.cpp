@@ -3,7 +3,10 @@
 #include <ostream>
 
 #include "analysis/experiments.hpp"
+#include "analysis/facts.hpp"
 #include "cloud/region.hpp"
+#include "core/export.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 
 namespace cloudrtt::core {
@@ -216,72 +219,17 @@ void write_case_study(JsonWriter& json, const analysis::PeeringCaseStudy& study)
   json.end_object();
 }
 
-}  // namespace
+/// Write one exhibit under `key`, timed as a span of the same name so a
+/// trace attributes the report's time exhibit by exhibit.
+template <typename Write>
+void exhibit(JsonWriter& json, std::string_view key, Write&& write) {
+  obs::Span span = obs::span(key);
+  json.key(key);
+  write();
+}
 
-void write_full_report(std::ostream& out, const analysis::StudyView& view) {
-  JsonWriter json{out};
-  json.begin_object();
-
-  json.key("table1_endpoints");
-  write_table1(json);
-
-  json.key("fig3_country_latency");
-  write_fig3(json, view);
-
-  json.key("fig4_continent_rtt");
-  write_series_summaries(json, analysis::fig4_continent_rtt(view));
-
-  if (view.has_atlas()) {
-    json.key("fig5_platform_diff");
-    write_series_summaries(json, analysis::fig5_platform_diff(view));
-    json.key("fig16_city_asn_diff");
-    write_series_summaries(json, analysis::fig16_city_asn_diff(view));
-  }
-
-  json.key("fig6a_africa");
-  write_fig6(json, view, geo::Continent::Africa);
-  json.key("fig6b_south_america");
-  write_fig6(json, view, geo::Continent::SouthAmerica);
-
-  json.key("fig7_lastmile");
-  write_lastmile(json, analysis::lastmile_stats(view, false));
-  json.key("fig19_lastmile_nearest");
-  write_lastmile(json, analysis::lastmile_stats(view, true));
-
-  json.key("fig8_cv_by_continent");
-  write_cv_groups(json, analysis::fig8_cv_by_continent(view));
-  json.key("fig9_cv_by_country");
-  write_cv_groups(json, analysis::fig9_cv_by_country(view));
-
-  json.key("fig10_interconnect_share");
-  write_fig10(json, view);
-  json.key("fig11_pervasiveness");
-  write_fig11(json, view);
-
-  json.key("fig12_de_gb");
-  write_case_study(json, analysis::peering_case_study(view, "DE", "GB"));
-  json.key("fig13_jp_in");
-  write_case_study(json, analysis::peering_case_study(view, "JP", "IN"));
-  json.key("fig17_ua_gb");
-  write_case_study(json, analysis::peering_case_study(view, "UA", "GB"));
-  json.key("fig18_bh_in");
-  write_case_study(json, analysis::peering_case_study(view, "BH", "IN"));
-
-  json.key("fig15_protocols");
-  json.begin_array();
-  for (const auto& row : analysis::fig15_protocols(view)) {
-    json.begin_object();
-    json.field("continent", geo::to_code(row.continent));
-    json.key("tcp");
-    write_summary(json, row.tcp);
-    json.key("icmp");
-    write_summary(json, row.icmp);
-    json.end_object();
-  }
-  json.end_array();
-
+void write_sec33(JsonWriter& json, const analysis::StudyView& view) {
   const analysis::MethodologyStats stats = analysis::sec33_stats(view);
-  json.key("sec33_methodology");
   json.begin_object();
   json.field("ping_count", stats.ping_count);
   json.field("trace_count", stats.trace_count);
@@ -297,9 +245,91 @@ void write_full_report(std::ostream& out, const analysis::StudyView& view) {
   json.field("required_samples_per_country", stats.required_samples_per_country);
   json.field("whois_fallback_share_pct", stats.whois_fallback_share_pct);
   json.end_object();
+}
+
+void write_fig15(JsonWriter& json, const analysis::StudyView& view) {
+  json.begin_array();
+  for (const auto& row : analysis::fig15_protocols(view)) {
+    json.begin_object();
+    json.field("continent", geo::to_code(row.continent));
+    json.key("tcp");
+    write_summary(json, row.tcp);
+    json.key("icmp");
+    write_summary(json, row.icmp);
+    json.end_object();
+  }
+  json.end_array();
+}
+
+}  // namespace
+
+namespace detail {
+
+void write_full_report(std::ostream& out, const analysis::StudyView& study,
+                       unsigned workers) {
+  // One derivation for every exhibit: each hop resolved, each trace
+  // classified and each dataset indexed once.
+  const analysis::FactsRef facts{study, workers};
+  analysis::StudyView view = study;
+  view.facts = &*facts;
+
+  JsonWriter json{out};
+  json.begin_object();
+
+  exhibit(json, "table1_endpoints", [&] { write_table1(json); });
+  exhibit(json, "fig3_country_latency", [&] { write_fig3(json, view); });
+  exhibit(json, "fig4_continent_rtt", [&] {
+    write_series_summaries(json, analysis::fig4_continent_rtt(view));
+  });
+  if (view.has_atlas()) {
+    exhibit(json, "fig5_platform_diff", [&] {
+      write_series_summaries(json, analysis::fig5_platform_diff(view));
+    });
+    exhibit(json, "fig16_city_asn_diff", [&] {
+      write_series_summaries(json, analysis::fig16_city_asn_diff(view));
+    });
+  }
+  exhibit(json, "fig6a_africa",
+          [&] { write_fig6(json, view, geo::Continent::Africa); });
+  exhibit(json, "fig6b_south_america",
+          [&] { write_fig6(json, view, geo::Continent::SouthAmerica); });
+  exhibit(json, "fig7_lastmile", [&] {
+    write_lastmile(json, analysis::lastmile_stats(view, false));
+  });
+  exhibit(json, "fig19_lastmile_nearest", [&] {
+    write_lastmile(json, analysis::lastmile_stats(view, true));
+  });
+  exhibit(json, "fig8_cv_by_continent", [&] {
+    write_cv_groups(json, analysis::fig8_cv_by_continent(view));
+  });
+  exhibit(json, "fig9_cv_by_country", [&] {
+    write_cv_groups(json, analysis::fig9_cv_by_country(view));
+  });
+  exhibit(json, "fig10_interconnect_share", [&] { write_fig10(json, view); });
+  exhibit(json, "fig11_pervasiveness", [&] { write_fig11(json, view); });
+  exhibit(json, "fig12_de_gb", [&] {
+    write_case_study(json, analysis::peering_case_study(view, "DE", "GB"));
+  });
+  exhibit(json, "fig13_jp_in", [&] {
+    write_case_study(json, analysis::peering_case_study(view, "JP", "IN"));
+  });
+  exhibit(json, "fig17_ua_gb", [&] {
+    write_case_study(json, analysis::peering_case_study(view, "UA", "GB"));
+  });
+  exhibit(json, "fig18_bh_in", [&] {
+    write_case_study(json, analysis::peering_case_study(view, "BH", "IN"));
+  });
+  exhibit(json, "fig15_protocols", [&] { write_fig15(json, view); });
+  exhibit(json, "sec33_methodology", [&] { write_sec33(json, view); });
 
   json.end_object();
   out << '\n';
+}
+
+}  // namespace detail
+
+void write_full_report(std::ostream& out, const analysis::StudyView& view) {
+  detail::write_full_report(out, view, detail::encode_workers());
 }
 
 }  // namespace cloudrtt::core

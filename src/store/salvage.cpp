@@ -117,10 +117,13 @@ struct LaneScan {
 
 /// Scan one lane file: strict inside the committed region, salvage beyond.
 /// Day D lives only in lane D % L, so a lane's committed blocks must run
-/// through its days in order, each day's tasks contiguous from task 0.
+/// through its days in order, each day's tasks contiguous from task 0, and
+/// none may lie past the manifest's resume point: a resume replays from
+/// there, so a committed block beyond it would be collected twice.
 [[nodiscard]] LaneScan scan_lane(const fs::path& path, IoEnv& io,
-                                 const LaneState& durable, std::size_t lane,
-                                 std::size_t lane_count) {
+                                 const Manifest& manifest, std::size_t lane) {
+  const LaneState& durable = manifest.lanes[lane];
+  const std::size_t lane_count = manifest.lanes.size();
   LaneScan scan;
   const auto lane_label = [&] { return "lane " + std::to_string(lane); };
   std::unique_ptr<std::istream> in = io.open_read(path);
@@ -182,6 +185,20 @@ struct LaneScan {
                    " tasks are not contiguous (block starts at " +
                    std::to_string(header.start) + ", expected " +
                    std::to_string(expected_start) + ")";
+      return scan;
+    }
+    const std::uint64_t block_end =
+        std::uint64_t{header.start} + header.tasks;
+    if (header.day > manifest.next_day ||
+        (header.day == manifest.next_day &&
+         block_end > manifest.day_tasks_done)) {
+      scan.error = lane_label() + ": committed block for day " +
+                   std::to_string(header.day) + " tasks " +
+                   std::to_string(header.start) + ".." +
+                   std::to_string(block_end) +
+                   " lies past the manifest's resume point (next_day=" +
+                   std::to_string(manifest.next_day) + ", day_tasks_done=" +
+                   std::to_string(manifest.day_tasks_done) + ")";
       return scan;
     }
     expected_start += header.tasks;
@@ -249,8 +266,8 @@ struct LaneScan {
     workers.reserve(lane_count);
     for (std::size_t lane = 0; lane < lane_count; ++lane) {
       workers.emplace_back([&, lane] {
-        scans[lane] = scan_lane(store_lane_path(dir, platform, lane), io,
-                                manifest.lanes[lane], lane, lane_count);
+        scans[lane] =
+            scan_lane(store_lane_path(dir, platform, lane), io, manifest, lane);
       });
     }
     for (std::thread& worker : workers) worker.join();

@@ -20,8 +20,21 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
 }
 
 double quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return quantile_sorted(values, q);
+  // quantile_sorted reads at most two adjacent order statistics, so select
+  // them instead of sorting: the same two values, the same interpolation,
+  // the same bits, in linear time.
+  if (values.empty()) return 0.0;
+  if (q <= 0.0) return *std::min_element(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lower = static_cast<std::size_t>(pos);
+  if (q >= 1.0 || lower + 1 >= values.size()) {
+    return *std::max_element(values.begin(), values.end());
+  }
+  const double frac = pos - static_cast<double>(lower);
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lower);
+  std::nth_element(values.begin(), nth, values.end());
+  const double upper = *std::min_element(nth + 1, values.end());
+  return *nth * (1.0 - frac) + upper * frac;
 }
 
 double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }

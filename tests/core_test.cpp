@@ -16,6 +16,7 @@
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "geo/country.hpp"
+#include "obs/metrics.hpp"
 #include "topology/isp.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -97,6 +98,60 @@ class CoreRoundTrip : public ::testing::Test {
     return s;
   }
 };
+
+/// StudyConfig::quick() at seed 23, with Atlas: the report-bytes fixture.
+[[nodiscard]] const core::Study& report_study() {
+  static const core::Study s = [] {
+    core::StudyConfig config = core::StudyConfig::quick();
+    config.seed = 23;
+    core::Study st{config};
+    st.run();
+    return st;
+  }();
+  return s;
+}
+
+[[nodiscard]] std::string report_bytes(const analysis::StudyView& view,
+                                       unsigned workers) {
+  std::ostringstream out;
+  core::detail::write_full_report(out, view, workers);
+  return out.str();
+}
+
+// The report's bytes are pinned: FNV-1a of the document, as written before
+// the exhibits shared one derivation. The facts pass must not change a byte,
+// whatever its worker count.
+TEST(ReportBytes, PinnedDigestAtAnyFactsWorkerCount) {
+  const analysis::StudyView view = report_study().view();
+  std::ostringstream out;
+  core::write_full_report(out, view);
+  const std::string bytes = out.str();
+  EXPECT_EQ(bytes.size(), 77199u);
+  EXPECT_EQ(core::format_dataset_hash(util::fnv1a(bytes)), "9c8fe9c1cc482fe2");
+  EXPECT_TRUE(report_bytes(view, 1) == bytes) << "1 facts worker";
+  EXPECT_TRUE(report_bytes(view, 4) == bytes) << "4 facts workers";
+}
+
+// One report resolves each responded hop and each trace target exactly once
+// across every exhibit, on both platforms.
+TEST(ReportBytes, OneReportResolvesEachHopOnce) {
+  const analysis::StudyView view = report_study().view();
+  std::uint64_t expected = 0;
+  for (const measure::Dataset* data : {view.sc_data, view.atlas_data}) {
+    for (const measure::TraceRef& trace : data->traces) {
+      ++expected;  // the target
+      for (const measure::HopRecord& hop : trace.hops) {
+        if (hop.responded) ++expected;
+      }
+    }
+  }
+  obs::Counter& lookups =
+      obs::Registry::global().counter("resolve.lookups_total");
+  const std::uint64_t before = lookups.value();
+  std::ostringstream out;
+  core::write_full_report(out, view);
+  EXPECT_EQ(lookups.value() - before, expected);
+}
 
 TEST_F(CoreRoundTrip, FullReportIsWellFormedJson) {
   std::ostringstream out;

@@ -618,6 +618,42 @@ TEST(StoreOpen, NeverReadsALaneFileWhole) {
   EXPECT_EQ(streamed.hash, baseline().hash);
 }
 
+// The manifest's resume point must cover every committed block. A finished
+// 3-day store whose manifest is rolled back from next_day=3 to next_day=2
+// still has day 2 inside its committed byte marks: opening it must refuse,
+// fsck must call it damaged, and a resume must refuse without touching a
+// file instead of replaying (and appending) day 2 a second time.
+TEST(StoreOpen, CommittedBlockPastTheManifestResumePointRefuses) {
+  const fs::path dir = copy_store("cloudrtt_store_resume_point");
+  const fs::path manifest = store::store_manifest_path(dir, kPlatform);
+  std::string text = store::IoEnv{}.read_file(manifest).value_or("");
+  const std::size_t at = text.find("next_day=3\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, std::string_view{"next_day=3"}.size(), "next_day=2");
+  write_file(manifest, text);
+  const std::map<std::string, std::string> before = snapshot(dir);
+
+  store::IoEnv io;
+  const store::OpenResult opened =
+      store::open_store(dir, kPlatform, io, fleet(), nullptr, /*repair=*/true);
+  EXPECT_FALSE(opened.ok());
+  EXPECT_NE(opened.error.find("resume point"), std::string::npos)
+      << opened.error;
+  EXPECT_FALSE(
+      store::open_store_structural(dir, kPlatform, io, /*repair=*/true).ok());
+  const store::FsckReport report = store::fsck(dir, kPlatform, io);
+  EXPECT_FALSE(report.healthy());
+  EXPECT_NE(report.render(kPlatform).find("DAMAGED: "), std::string::npos)
+      << report.render(kPlatform);
+
+  core::Study resumed{store_config()};
+  core::RunControl control;
+  control.checkpoint_dir = dir.string();
+  control.resume = true;
+  EXPECT_THROW(resumed.run(control), std::runtime_error);
+  EXPECT_TRUE(snapshot(dir) == before) << "the refused resume changed a file";
+}
+
 // Opening a store starts one thread per lane, and the lane count comes from
 // disk: a manifest claiming more lanes than a store may have is refused
 // before any lane is read. Every lane entry is present, so without the cap

@@ -242,6 +242,23 @@ TEST_P(QuantileMonotone, MonotoneInQ) {
   }
 }
 
+// quantile() selects the order statistics quantile_sorted() would read off a
+// sorted copy: the same bits for every q, ties included.
+TEST_P(QuantileMonotone, SelectionMatchesTheSortedQuantileExactly) {
+  Rng rng{GetParam()};
+  std::vector<double> values;
+  const auto n = 1 + rng.below(200);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    values.push_back(std::round(rng.uniform(0, 50)) * 0.7);
+  }
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double q : {-0.5, 0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 2.0}) {
+    EXPECT_EQ(quantile(values, q), quantile_sorted(sorted, q)) << "q=" << q;
+  }
+  EXPECT_EQ(median(values), quantile_sorted(sorted, 0.5));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotone,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
